@@ -1,4 +1,4 @@
-.PHONY: all build check test bench bench-json bench-scale bench-serve fuzz-smoke tune-smoke ci clean
+.PHONY: all build check test bench bench-serve fuzz-smoke tune-smoke ci clean
 
 all: build
 
@@ -13,17 +13,6 @@ test:
 
 bench:
 	dune exec bench/main.exe
-
-# Machine-readable workload x jobs x wall-time matrix + scale-sized
-# synthetic programs + incremental isom build timings (BENCH_pr6.json).
-bench-json:
-	dune exec bench/bench_json.exe
-
-# Scale smoke gate: one 1000-routine synthetic program at jobs 1 vs 4;
-# asserts bit-identical IR/report/journal, and speedup_at_4 >= 1.0 when
-# the machine has at least 4 cores.
-bench-scale:
-	dune exec bench/bench_scale.exe -- --smoke
 
 # Daemon load generator: concurrent clients over a Unix socket against
 # an in-process hlod, latency percentiles + throughput + cache/admission
@@ -44,18 +33,19 @@ fuzz-smoke:
 	  --inline-mode region --out _build/fuzz-region
 
 # Policy tuner smoke gate: tiny fixed-seed search on two benchmarks
-# (train input), run twice; the JSON results must be bit-identical
-# (the tuner's determinism contract), and every scored candidate is
-# oracle-gated by construction.  Winning policies land under
-# _build/tune_policies/ for hloc --policy.
+# (train input), run once sequentially and once with two candidate
+# domains; the JSON results must be bit-identical (the tuner's
+# determinism contract, and the gate for its parallel map), and every
+# scored candidate is oracle-gated by construction.  Winning policies
+# land under _build/tune_policies/ for hloc --policy.
 tune-smoke:
 	dune build bin/hlo_tune.exe
 	_build/default/bin/hlo_tune.exe --bench 026.compress --bench 099.go \
 	  --samples 4 --rounds 1 --mutations 2 --stale-rounds 1 --input train \
-	  --json _build/tune_smoke_a.json --policies _build/tune_policies
+	  --jobs 1 --json _build/tune_smoke_a.json --policies _build/tune_policies
 	_build/default/bin/hlo_tune.exe --bench 026.compress --bench 099.go \
 	  --samples 4 --rounds 1 --mutations 2 --stale-rounds 1 --input train \
-	  --json _build/tune_smoke_b.json > /dev/null
+	  --jobs 2 --json _build/tune_smoke_b.json > /dev/null
 	cmp _build/tune_smoke_a.json _build/tune_smoke_b.json
 
 ci:

@@ -66,16 +66,13 @@ type scenario = {
   sc_config : S.config;
 }
 
-let default_config =
-  { S.default_config with S.jobs = 1 }
-
 (* Σ size² estimate of one generated module, so the saturation
    scenario can set a budget that admits exactly one at a time. *)
 let one_request_cost =
   Serve.Admission.cost_of_modules [ ("m000", module_src 0) ]
 
 let saturation_config =
-  { default_config with
+  { S.default_config with
     S.server_budget = one_request_cost *. 1.5;
     request_budget = one_request_cost *. 1.5;
     queue_limit = 4 }
@@ -196,24 +193,24 @@ let run_scenario sc =
 let scenarios ~smoke =
   if smoke then
     [ { sc_name = "baseline-1"; sc_conns = 1; sc_requests = 100;
-        sc_distinct = 1; sc_config = default_config };
+        sc_distinct = 1; sc_config = S.default_config };
       { sc_name = "c8"; sc_conns = 8; sc_requests = 200; sc_distinct = 8;
-        sc_config = default_config };
+        sc_config = S.default_config };
       { sc_name = "c32"; sc_conns = 32; sc_requests = 400; sc_distinct = 8;
-        sc_config = default_config };
+        sc_config = S.default_config };
       { sc_name = "saturation"; sc_conns = 16; sc_requests = 64;
         sc_distinct = 64; sc_config = saturation_config } ]
   else
     [ { sc_name = "baseline-1"; sc_conns = 1; sc_requests = 500;
-        sc_distinct = 1; sc_config = default_config };
+        sc_distinct = 1; sc_config = S.default_config };
       { sc_name = "c8"; sc_conns = 8; sc_requests = 1000; sc_distinct = 16;
-        sc_config = default_config };
+        sc_config = S.default_config };
       { sc_name = "c64"; sc_conns = 64; sc_requests = 2000; sc_distinct = 16;
-        sc_config = default_config };
+        sc_config = S.default_config };
       { sc_name = "c256"; sc_conns = 256; sc_requests = 4000;
-        sc_distinct = 64; sc_config = default_config };
+        sc_distinct = 64; sc_config = S.default_config };
       { sc_name = "c1000-10k"; sc_conns = 1000; sc_requests = 10000;
-        sc_distinct = 64; sc_config = default_config };
+        sc_distinct = 64; sc_config = S.default_config };
       { sc_name = "saturation"; sc_conns = 32; sc_requests = 128;
         sc_distinct = 128; sc_config = saturation_config } ]
 

@@ -67,8 +67,7 @@ let force check force_mode =
 let gen_check ?force_mode st =
   force
     { Oracle.ck_config = Prog_gen.gen_hlo_config st;
-      ck_mutation = gen_mutation st;
-      ck_jobs = QCheck.Gen.oneofl [ 1; 1; 1; 2 ] st }
+      ck_mutation = gen_mutation st }
     force_mode
 
 (* Case [i] is a pure function of (seed, i): campaigns are reproducible
@@ -104,12 +103,12 @@ let case_gen ~seed ~corpus ?force_mode i =
 (* ------------------------------------------------------------------ *)
 (* Modes.                                                              *)
 
-let replay_case file config mutation jobs =
+let replay_case file config mutation =
   let case =
     { Oracle.Fuzz.c_label = "replay:" ^ file;
       c_sources = Oracle.Fuzz.parse_combined (read_file file);
       c_check =
-        { Oracle.ck_config = config; ck_mutation = mutation; ck_jobs = jobs } }
+        { Oracle.ck_config = config; ck_mutation = mutation } }
   in
   match Oracle.Fuzz.run_case ~interp_config case with
   | Oracle.Fuzz.Passed ->
@@ -158,7 +157,7 @@ let campaign seed iters time_budget out corpus_dir no_reduce force_mode =
 
 let main seed iters time_budget out corpus_dir chaos replay scope budget
     passes staging no_inline no_clone outline inline_mode
-    region_cold_fraction max_ops no_reopt validate mutation jobs no_reduce =
+    region_cold_fraction max_ops no_reopt validate mutation no_reduce =
   match
     match chaos with
     | None -> Ok ()
@@ -194,7 +193,7 @@ let main seed iters time_budget out corpus_dir chaos replay scope budget
               ~default:Hlo.Config.default.Hlo.Config.region_cold_fraction;
           validate }
       in
-      `Ok (replay_case file config mutation jobs)
+      `Ok (replay_case file config mutation)
     | None ->
       `Ok (campaign seed iters time_budget out corpus_dir no_reduce inline_mode))
 
@@ -346,11 +345,6 @@ let mutation =
                  $(b,scale:F), $(b,stale:N).  All are semantics-neutral; \
                  a behavior change under any of them is a bug.")
 
-let jobs =
-  Arg.(value & opt int 1
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"(replay) Parallel domains during compilation.")
-
 let no_reduce =
   Arg.(value & flag
        & info [ "no-reduce" ]
@@ -364,6 +358,6 @@ let cmd =
             (const main $ seed $ iters $ time_budget $ out $ corpus_dir
             $ chaos $ replay $ scope $ budget $ passes $ staging $ no_inline
             $ no_clone $ outline $ inline_mode $ region_cold_fraction
-            $ max_ops $ no_reopt $ validate $ mutation $ jobs $ no_reduce))
+            $ max_ops $ no_reopt $ validate $ mutation $ no_reduce))
 
 let () = exit (Cmd.eval' cmd)

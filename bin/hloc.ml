@@ -122,7 +122,7 @@ let try_daemon ~socket ~files ~scope ~budget ~passes ~no_inline ~no_clone
 let compile_and_run files scope budget passes no_inline no_clone max_ops
     inline_mode region_cold_fraction
     policy_file dump_policy dump_ir dump_asm dump_profile dump_journal stats
-    runner main trace trace_format telemetry_summary jobs summary_cache
+    runner main trace trace_format telemetry_summary summary_cache
     compile_only link_isoms incremental isom_dir output write_profiles daemon
     daemon_socket =
   (* The policy (when given) overlays the tuned knobs — budget, staging,
@@ -217,10 +217,6 @@ let compile_and_run files scope budget passes no_inline no_clone max_ops
   | `Served result -> result
   | `Fail msg -> `Error (false, msg)
   | `In_process ->
-  (* Parallelism: [--jobs N] overrides the HLO_JOBS environment
-     default.  Results are bit-identical at any degree (the pool's
-     maps are order-preserving); only wall-clock changes. *)
-  if jobs > 0 then Parallel.Pool.set_jobs jobs;
   (* Summary cache: warm the memo store from disk before compiling and
      persist it afterwards — including on a failed compile, since
      entries computed before the failure are still valid. *)
@@ -530,7 +526,8 @@ let dump_asm =
 let dump_profile =
   Arg.(value & flag
        & info [ "dump-profile" ]
-           ~doc:"Print the training profile database (block and call-site                  counts).")
+           ~doc:"Print the training profile database (block and call-site \
+                 counts).")
 
 let dump_journal =
   Arg.(value & flag
@@ -593,14 +590,6 @@ let telemetry_summary =
        & info [ "telemetry-summary" ]
            ~doc:"Print a human-readable summary of phase timings, \
                  counters and optimizer decisions.")
-
-let jobs =
-  Arg.(value & opt int 0
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Compile with $(docv) parallel domains (front end and \
-                 scalar optimizer).  The output is bit-identical at any \
-                 $(docv).  0 (the default) means: use the HLO_JOBS \
-                 environment variable, else 1.")
 
 let summary_cache =
   Arg.(value & opt (some string) None
@@ -691,7 +680,7 @@ let cmd =
             $ policy_file $ dump_policy
             $ dump_ir $ dump_asm $ dump_profile
             $ dump_journal $ stats $ runner $ entry_name $ trace $ trace_format
-            $ telemetry_summary $ jobs $ summary_cache $ compile_only
+            $ telemetry_summary $ summary_cache $ compile_only
             $ link_isoms $ incremental $ isom_dir $ output $ write_profiles
             $ daemon $ daemon_socket))
 

@@ -2,26 +2,26 @@
 
    Binds a Unix-domain socket and serves the hlod1 protocol: compile
    requests (bit-identical to `hloc` whole-program mode), stats, ping
-   and graceful shutdown.  The process owns the warm work-stealing
-   pool, the cross-request summary cache and clone database, and a
-   content-addressed artifact store, so repeated compiles of the same
-   modules are served without compiling at all.
+   and graceful shutdown.  The process owns the cross-request summary
+   cache and clone database, and a content-addressed artifact store,
+   so repeated compiles of the same modules are served without
+   compiling at all.
 
-     hlod --socket /tmp/hlod.sock --jobs 4 --server-budget 4e9 &
+     hlod --socket /tmp/hlod.sock --server-budget 4e9 &
      hlo_client compile a.mc b.mc --stats
      hlo_client shutdown *)
 
 open Cmdliner
 
-let serve socket jobs server_budget request_budget queue_limit artifact_dir
+let serve socket server_budget request_budget queue_limit artifact_dir
     artifact_cap summary_cache max_frame verbose =
   let socket =
     match socket with Some s -> s | None -> Serve.Client.default_socket ()
   in
-  let jobs = if jobs > 0 then jobs else Parallel.Pool.get_jobs () in
   let config =
-    { Serve.Service.jobs; server_budget; request_budget; queue_limit;
-      artifact_dir; artifact_cap; summary_cache; max_frame }
+    { Serve.Service.default_config with
+      server_budget; request_budget; queue_limit; artifact_dir; artifact_cap;
+      summary_cache; max_frame }
   in
   match Serve.Server.start ~socket config with
   | exception Unix.Unix_error (e, _, _) ->
@@ -30,8 +30,7 @@ let serve socket jobs server_budget request_budget queue_limit artifact_dir
        Printf.sprintf "cannot listen on %s: %s" socket (Unix.error_message e))
   | server ->
     if verbose then
-      Fmt.epr "[hlod] listening on %s (jobs=%d budget=%g)@." socket jobs
-        server_budget;
+      Fmt.epr "[hlod] listening on %s (budget=%g)@." socket server_budget;
     let graceful _ = Serve.Server.stop server in
     (try
        Sys.set_signal Sys.sigint (Sys.Signal_handle graceful);
@@ -47,12 +46,6 @@ let socket =
            ~doc:"Unix-domain socket to listen on (default: \
                  $(b,HLOD_SOCKET), else a per-user path in the temp \
                  directory).")
-
-let jobs =
-  Arg.(value & opt int 0
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Compile with $(docv) parallel domains.  0 (the default) \
-                 means: use the HLO_JOBS environment variable, else 1.")
 
 let server_budget =
   Arg.(value & opt float Serve.Service.default_config.Serve.Service.server_budget
@@ -106,7 +99,7 @@ let cmd =
   let info = Cmd.info "hlod" ~version:"1.0" ~doc in
   Cmd.v info
     Term.(ret
-            (const serve $ socket $ jobs $ server_budget $ request_budget
+            (const serve $ socket $ server_budget $ request_budget
             $ queue_limit $ artifact_dir $ artifact_cap $ summary_cache
             $ max_frame $ verbose))
 

@@ -15,26 +15,11 @@ dune build @check
 echo "== dune build =="
 dune build
 
-echo "== dune runtest (HLO_JOBS=1) =="
-HLO_JOBS=1 dune runtest
+echo "== dune runtest =="
+dune runtest
 
-# Same suite again with a 4-domain pool.  Every test executable and
-# every CLI golden rule picks the degree up from the environment, so a
-# scheduling-dependent divergence shows up as an ordinary test failure
-# or a golden-output diff.
-echo "== dune runtest (HLO_JOBS=4) =="
-HLO_JOBS=4 dune runtest --force
-
-echo "== parallel determinism smoke (hloc --jobs) =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-for j in 1 4; do
-  dune exec bin/hloc.exe -- \
-    examples/telemetry_util.mc examples/telemetry_main.mc \
-    --dump-ir --stats --run interp > "$tmp/ir-jobs$j.txt" "--jobs=$j"
-done
-diff -u "$tmp/ir-jobs1.txt" "$tmp/ir-jobs4.txt"
-echo "jobs 1 and jobs 4 outputs identical"
 
 echo "== summary cache smoke (hloc --summary-cache) =="
 dune exec bin/hloc.exe -- \
@@ -90,8 +75,8 @@ echo "truncated isom recompiled transparently, output identical"
 
 echo "== policy smoke (hloc --policy round trip, make tune-smoke) =="
 # The dumped default policy fed back through --policy must change
-# nothing; then the tiny fixed-seed tuner run (twice, bit-identical
-# JSON) and a load of its winning policy into hloc.
+# nothing; then the tiny fixed-seed tuner run (at jobs 1 and jobs 2,
+# bit-identical JSON) and a load of its winning policy into hloc.
 dune exec bin/hloc.exe -- --dump-policy > "$tmp/default.policy"
 dune exec bin/hloc.exe -- \
   examples/telemetry_util.mc examples/telemetry_main.mc \
@@ -119,14 +104,6 @@ done
 diff -u "$tmp/mode-run-whole.txt" "$tmp/mode-run-region.txt"
 diff -u "$tmp/mode-run-whole.txt" "$tmp/mode-run-demand.txt"
 echo "whole mode inert; all three modes agree on run output"
-
-echo "== scale bench smoke (make bench-scale) =="
-# One 1000-routine synthetic workload compiled at jobs 1 and jobs 4:
-# IR, report and decision journal must be bit-identical, and on a
-# machine with >= 4 cores jobs 4 must be at least as fast as jobs 1
-# (on fewer cores the gate is skipped — oversubscription measures pool
-# overhead, not speedup).
-make bench-scale
 
 echo "== differential fuzz smoke (hlo_fuzz, fixed seed) =="
 # Corpus + random programs through the semantic oracle for ~30s.

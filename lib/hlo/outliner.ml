@@ -203,7 +203,18 @@ let find_regions ?(config = default_config) ?(basis = `Entry)
     new (module-local) routine holding the region. *)
 let extract (st : State.t) (r : U.routine) (rg : region) :
     U.routine * U.routine =
-  let out_name = Printf.sprintf "%s__cold%d" r.U.r_name rg.rg_entry in
+  (* The call block left behind keeps the region's entry label, so a
+     later pass that outlines it again would reuse the name; only then
+     does a [_<k>] suffix pick the first free one. *)
+  let out_name =
+    let base = Printf.sprintf "%s__cold%d" r.U.r_name rg.rg_entry in
+    let taken name = U.find_routine st.State.program name <> None in
+    let rec free k =
+      let name = Printf.sprintf "%s_%d" base k in
+      if taken name then free (k + 1) else name
+    in
+    if taken base then free 1 else base
+  in
   (* The outlined routine: the region's blocks, with fresh sites for
      copied calls, region inputs as parameters, and every exit edge
      rewritten into a return of the output (or nothing). *)

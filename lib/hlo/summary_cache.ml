@@ -12,9 +12,9 @@
     Determinism is by construction: a cached value is byte-identical to
     what recomputation would produce, because the key covers everything
     the computation reads.  The store is domain-safe (one mutex) so
-    parallel pipeline shards may consult it, and process-global so the
-    heuristics can reach it without threading a handle through every
-    signature. *)
+    concurrent compiles (hlo_tune's candidate domains) may share it,
+    and process-global so the heuristics can reach it without threading
+    a handle through every signature. *)
 
 module U = Ucode.Types
 

@@ -3,7 +3,7 @@
 
     - sources and isoms are processed in caller order everywhere, so
       the linked program, diagnostics and site numbering are identical
-      to a whole-program compile at any parallelism degree;
+      to a whole-program compile;
     - the incremental planner is single-pass: exports depend only on a
       module's own source, so demoting a reuse candidate to dirty
       (reason [ext-changed]) cannot change what anything else sees. *)
@@ -23,7 +23,7 @@ let input_name = function
 let compile_inputs (inputs : input list) :
     File.t list * Minic.Diag.t list =
   let parsed =
-    Parallel.Pool.map_list
+    List.map
       (function
         | Src s -> `Unit (s, Minic.Compile.parse_source s)
         | Parsed (s, u) -> `Unit (s, u)
@@ -50,7 +50,7 @@ let compile_inputs (inputs : input list) :
   in
   Minic.Diag.fail_on_errors diags;
   let isoms =
-    Parallel.Pool.map_list
+    List.map
       (function
         | `Obj i -> i
         | `Unit (s, (u : Minic.Ast.unit_)) ->
@@ -115,7 +115,7 @@ let plan ~dir ~(manifest : Manifest.t) (sources : Minic.Compile.source list)
      reproduces its exports, so demotion never changes the environment
      anyone else sees. *)
   let parsed_dirty =
-    Parallel.Pool.map_list
+    List.map
       (fun ((s : Minic.Compile.source), v) ->
         match v with
         | Recompile _ -> Some (Minic.Compile.parse_source s)

@@ -44,32 +44,30 @@ let ext_for ~(exports : (string * Sema.ext_env) list) ~module_name :
        (fun (name, e) -> if name = module_name then None else Some e)
        exports)
 
-(** Lower one sema-checked module (telemetry span [minic.lower]). *)
+(** Lower one sema-checked module (telemetry span [minic.lower]).
+    Raises {!Diag.Compile_error} on what sema lets through but lowering
+    rejects (e.g. a function name used as a value). *)
 let lower_checked_unit ~ext (u : Ast.unit_) : Ucode.Linker.module_ir =
   Telemetry.Collector.with_span "minic.lower" @@ fun () ->
   if Telemetry.Collector.enabled () then
     Telemetry.Collector.annotate "module" (Telemetry.Event.Str u.Ast.u_name);
-  Lower.lower_unit ~ext u
+  try Lower.lower_unit ~ext u
+  with Lower.Lower_error d -> raise (Diag.Compile_error [ d ])
 
 (** Compile and link a multi-module program.  Raises
     {!Diag.Compile_error} on the first batch of errors (warnings are
-    returned alongside the program).
-
-    Per-module lexing/parsing and lowering are independent, so both
-    stages are sharded across the ambient domain pool.  The maps are
-    order-preserving and raise the first failure *by module position*,
-    so diagnostics, module order and the linked program are identical
-    to a sequential compile at any [--jobs]. *)
+    returned alongside the program).  Modules are parsed and lowered in
+    program order, so the first failure is the first module's. *)
 let compile_program ?(main = "main") (sources : source list) :
     Ucode.Types.program * Diag.t list =
-  let units = Parallel.Pool.map_list parse_source sources in
+  let units = List.map parse_source sources in
   let diags = Sema.check_program units in
   Diag.fail_on_errors diags;
   let exports =
     List.map (fun (u : Ast.unit_) -> (u.Ast.u_name, Sema.exports_of_unit u)) units
   in
   let modules =
-    Parallel.Pool.map_list
+    List.map
       (fun (u : Ast.unit_) ->
         lower_checked_unit ~ext:(ext_for ~exports ~module_name:u.Ast.u_name) u)
       units

@@ -20,7 +20,8 @@ val parse_source : source -> Ast.unit_
 val ext_for :
   exports:(string * Sema.ext_env) list -> module_name:string -> Sema.ext_env
 
-(** Lower one sema-checked module to linkable IR. *)
+(** Lower one sema-checked module to linkable IR.  Raises
+    {!Diag.Compile_error} if lowering rejects it. *)
 val lower_checked_unit :
   ext:Sema.ext_env -> Ast.unit_ -> Ucode.Linker.module_ir
 

@@ -72,30 +72,9 @@ let optimize_routine ?(removable = fun _ -> false)
   in
   loop r max_rounds
 
-(* Scheduling priority for the parallel map: a routine's rank in the
-   bottom-up SCC order.  Leaf callees are optimized first, mirroring
-   the sequential optimizer's natural order of usefulness — the
-   priority biases which shard a worker picks up next but never what
-   any shard computes, so results are independent of it. *)
-let scc_priority (p : U.program) : int array option =
-  if Parallel.Pool.get_jobs () <= 1 then None
-  else begin
-    let ids = Ucode.Callgraph.(scc_ids (build p)) in
-    Some
-      (Array.of_list
-         (List.map
-            (fun (r : U.routine) ->
-              Option.value ~default:0 (U.String_map.find_opt r.U.r_name ids))
-            p.U.p_routines))
-  end
-
 (** Optimize every routine of a program.  Computes the deletable-call
     set once (the "limited interprocedural analysis" of the paper) and
-    feeds it to per-routine DCE.  Routines are independent given those
-    read-only program facts, so they are sharded across the ambient
-    domain pool; the order-preserving map keeps the routine list — and
-    with it every downstream decision — identical to a sequential
-    run. *)
+    feeds it to per-routine DCE. *)
 let optimize_program ?(max_rounds = 4) (p : U.program) : U.program =
   Telemetry.Collector.with_span "opt.program" @@ fun () ->
   if Telemetry.Collector.enabled () then begin
@@ -108,7 +87,7 @@ let optimize_program ?(max_rounds = 4) (p : U.program) : U.program =
   let arity_of n = U.arity_in_program p n in
   { p with
     U.p_routines =
-      Parallel.Pool.map_list ?priority:(scc_priority p)
+      List.map
         (fun (r : U.routine) ->
           Telemetry.Collector.with_span "opt.routine" @@ fun () ->
           if Telemetry.Collector.enabled () then
@@ -118,8 +97,7 @@ let optimize_program ?(max_rounds = 4) (p : U.program) : U.program =
         p.U.p_routines }
 
 (** Optimize only the named routines (used by HLO after a pass touched
-    a subset of the program).  Untouched routines are passed through by
-    the same order-preserving map. *)
+    a subset of the program).  Untouched routines are passed through. *)
 let optimize_selected ?(max_rounds = 4) (p : U.program) names : U.program =
   Telemetry.Collector.with_span "opt.selected" @@ fun () ->
   if Telemetry.Collector.enabled () then begin
@@ -133,7 +111,7 @@ let optimize_selected ?(max_rounds = 4) (p : U.program) names : U.program =
   let target = U.String_set.of_list names in
   { p with
     U.p_routines =
-      Parallel.Pool.map_list ?priority:(scc_priority p)
+      List.map
         (fun (r : U.routine) ->
           if U.String_set.mem r.U.r_name target then begin
             Telemetry.Collector.with_span "opt.routine" @@ fun () ->

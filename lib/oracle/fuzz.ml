@@ -204,8 +204,6 @@ let replay_command (case : case) =
     @ (match ck.Sem.ck_mutation with
       | Sem.Keep -> []
       | m -> [ "--mutation"; Sem.mutation_to_string m ])
-    @ (if ck.Sem.ck_jobs <> 1 then [ "--jobs"; string_of_int ck.Sem.ck_jobs ]
-       else [])
     @ (match Hlo.Chaos.armed () with
       | Some b -> [ "--chaos"; Hlo.Chaos.name b ]
       | None -> []))

@@ -1,7 +1,7 @@
 (** The differential fuzz engine.
 
-    A {!case} is one (program, HLO config, profile mutation, jobs)
-    quadruple.  {!run_case} compiles it and asks the semantic oracle
+    A {!case} is one (program, HLO config, profile mutation)
+    triple.  {!run_case} compiles it and asks the semantic oracle
     ({!Sem.check_transform}) whether HLO preserved observable behavior;
     mismatches and compiler crashes become {!failure}s with a *stable
     bucket hash* so a campaign can group many manifestations of one bug.
@@ -80,6 +80,6 @@ val print_combined : Minic.Compile.source list -> string
 val parse_combined : string -> Minic.Compile.source list
 
 (** Write [repro.mc] (the combined sources), [repro.cmd] (a replay
-    command line pinning config, mutation, jobs and any armed chaos
+    command line pinning config, mutation and any armed chaos
     bug) and [detail.txt] under [dir], creating it if needed. *)
 val write_repro : dir:string -> failure -> unit

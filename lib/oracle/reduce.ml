@@ -188,7 +188,6 @@ let reduce ?(interp_config = Interp.default_config) ?(same_bucket = true)
   in
   let cfg () = !check.Sem.ck_config in
   try_check { !check with Sem.ck_mutation = Sem.Keep };
-  try_check { !check with Sem.ck_jobs = 1 };
   try_check
     { !check with
       Sem.ck_config = { (cfg ()) with Hlo.Config.enable_outlining = false } };

@@ -2,7 +2,7 @@
 
     Shrinks a failing (program, config, profile-mutation) triple to a
     minimal repro: statement-level ddmin over each module's source,
-    dropping of emptied modules, then config / mutation / jobs
+    dropping of emptied modules, then config / mutation
     simplification — all while re-checking that the candidate still
     fails (by default, into the *same bucket*, so reduction cannot
     wander off to a different bug). *)

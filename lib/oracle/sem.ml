@@ -228,12 +228,11 @@ let mutate_profile m (p : Ucode.Profile.t) : Ucode.Profile.t =
 type check = {
   ck_config : Hlo.Config.t;
   ck_mutation : profile_mutation;
-  ck_jobs : int;
 }
 
 let default_check =
   { ck_config = { Hlo.Config.default with Hlo.Config.validate = true };
-    ck_mutation = Keep; ck_jobs = 1 }
+    ck_mutation = Keep }
 
 type transform_result = {
   tr_driver : Hlo.Driver.result;
@@ -255,13 +254,7 @@ let check_transform ?(interp_config = Interp.default_config) (ck : check)
     else Ucode.Profile.empty
   in
   let profile = mutate_profile ck.ck_mutation profile in
-  let saved_jobs = Parallel.Pool.get_jobs () in
-  let tr_driver =
-    Fun.protect ~finally:(fun () -> Parallel.Pool.set_jobs saved_jobs)
-    @@ fun () ->
-    Parallel.Pool.set_jobs ck.ck_jobs;
-    Hlo.Driver.run ~config:ck.ck_config ~profile program
-  in
+  let tr_driver = Hlo.Driver.run ~config:ck.ck_config ~profile program in
   let tr_post = observe ~config:interp_config tr_driver.Hlo.Driver.program in
   { tr_driver; tr_pre; tr_post;
     tr_verdict = compare_outcomes ~pre:tr_pre ~post:tr_post }

@@ -87,7 +87,6 @@ val mutate_profile : profile_mutation -> Ucode.Profile.t -> Ucode.Profile.t
 type check = {
   ck_config : Hlo.Config.t;
   ck_mutation : profile_mutation;
-  ck_jobs : int;  (** ambient parallelism during the HLO run *)
 }
 
 val default_check : check
@@ -100,7 +99,7 @@ type transform_result = {
 }
 
 (** Train (when the config wants profile data), mutate the profile, run
-    {!Hlo.Driver.run} at the requested parallelism, and compare
+    {!Hlo.Driver.run}, and compare
     observable behavior before and after.  Driver crashes — including
     {!Hlo.Driver.Invalid_ir} from per-stage validation — propagate as
     exceptions for the caller to bucket. *)

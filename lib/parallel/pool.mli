@@ -1,69 +1,21 @@
-(** A warm pool of OCaml 5 domains with a *deterministic* parallel map
-    built on per-executor work-stealing deques: results land by input
-    index, the first failing item (by index) is the one re-raised, and
-    scheduling order is a performance hint only.  Items are grouped
-    into chunks of ~[n / (4 * jobs)] so a task amortizes its
-    scheduling cost; an executor whose deque runs dry steals chunks
-    from the others (claims are a single [Atomic.fetch_and_add] — no
-    lock on the fast path).  With one job, or when called from inside
-    a pool worker, the map runs inline — nested maps cannot deadlock
-    and the sequential path is exactly [Array.map]. *)
+(** An order-preserving parallel map for independent, coarse work items
+    — today, candidate policies in [Experiments.Policy_search].
 
-type t
+    The compiler itself is sequential: nothing under [lib/minic],
+    [lib/opt], [lib/hlo] or [lib/isom] maps through this module.
 
-(** [create ~jobs] spawns [jobs - 1] worker domains (the caller of a
-    map participates).  [jobs <= 1] spawns nothing. *)
-val create : jobs:int -> t
+    [map_list f xs] returns exactly what [List.map f xs] returns: every
+    result lands at its input's index whatever order the items ran in,
+    and when items raise, the failure with the lowest index is the one
+    re-raised.  At one job it {e is} [List.map]. *)
 
-val jobs : t -> int
-
-(** Lifetime count of domains this pool has spawned.  Consecutive maps
-    at an unchanged degree must not move it — the resize-reuse tests
-    pin that down. *)
-val spawned : t -> int
-
-(** Resize the pool in place: spawns or joins only the delta workers,
-    keeps the rest warm.  No-op at the current degree. *)
-val resize : t -> int -> unit
-
-(** Order-preserving parallel map.  [priority.(i)] (lower runs
-    earlier) biases scheduling — e.g. bottom-up over call-graph SCCs —
-    without affecting results.  [chunk_size] overrides the automatic
-    ~[n / (4 * jobs)] chunking (tests sweep it; results are identical
-    for any value). *)
-val map_array_in :
-  t -> ?priority:int array -> ?chunk_size:int -> ('a -> 'b) -> 'a array ->
-  'b array
-
-val map_list_in :
-  t -> ?priority:int array -> ?chunk_size:int -> ('a -> 'b) -> 'a list ->
-  'b list
-
-(** Stop the workers and join them.  Idempotent. *)
-val shutdown : t -> unit
-
-(** True inside a pool worker (where maps run inline). *)
-val in_worker : unit -> bool
-
-(** {1 The ambient pool}
-
-    The front end and the scalar optimizer use a process-wide pool so
-    compilation entry points need no pool argument.  Its degree
-    defaults to the [HLO_JOBS] environment variable (else 1) and is
-    overridden by [set_jobs] (e.g. from [hloc --jobs]). *)
-
-(** Set the ambient parallelism degree.  Resizes a live pool in place
-    (the warm workers survive); a pool not yet created stays lazy. *)
+(** Set the degree used by {!map_list}.  Values below 1 mean 1; the
+    default is 1. *)
 val set_jobs : int -> unit
 
 val get_jobs : unit -> int
 
-(** The ambient pool, created on first use. *)
-val the : unit -> t
-
-(** [map_array f xs] on the ambient pool (inline when jobs = 1). *)
-val map_array :
-  ?priority:int array -> ?chunk_size:int -> ('a -> 'b) -> 'a array -> 'b array
-
-val map_list :
-  ?priority:int array -> ?chunk_size:int -> ('a -> 'b) -> 'a list -> 'b list
+(** Spawns [min jobs n - 1] domains for this call alone; they and the
+    caller take items through one shared counter, and all are joined
+    before it returns. *)
+val map_list : ('a -> 'b) -> 'a list -> 'b list

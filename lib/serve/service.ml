@@ -3,12 +3,11 @@
     in-flight coalescing table) and the one compile lock.
 
     Serializing the compile itself is a requirement, not a
-    shortcut: the warm work-stealing pool supports one in-flight
-    batch per process, and the ambient telemetry collector — which is
-    what captures the per-request decision journal — is process-global.
+    shortcut: the ambient telemetry collector — which is what captures
+    the per-request decision journal — is process-global, so two
+    compiles in flight would write into each other's journal.
     Concurrency lives where it pays: connection handling, frame
-    parsing, cache lookups, coalescing and admission all overlap; the
-    cores go to *one* compile at a time through the pool. *)
+    parsing, cache lookups, coalescing and admission all overlap. *)
 
 module J = Telemetry.Json
 module P = Protocol
@@ -45,14 +44,13 @@ type t = {
   telem : Telemetry.Collector.t;  (** server-lifetime counters/spans *)
   lock : Mutex.t;  (** guards [inflight], [stopping], [active] *)
   inflight : (string, inflight) Hashtbl.t;
-  compile_lock : Mutex.t;  (** one compile at a time (pool contract) *)
+  compile_lock : Mutex.t;  (** one compile at a time (global collector) *)
   drained : Condition.t;
   mutable stopping : bool;
   mutable active : int;  (** compile requests inside {!handle} *)
 }
 
 let create cfg =
-  Parallel.Pool.set_jobs cfg.jobs;
   (match cfg.summary_cache with
   | None -> ()
   | Some path -> ignore (Hlo.Summary_cache.load path : (int, string) result));
@@ -425,7 +423,6 @@ let stats_json t : J.t =
           [ ("hits", J.Int cdb.Hlo.Clone_db.hits);
             ("misses", J.Int cdb.Hlo.Clone_db.misses);
             ("entries", J.Int cdb.Hlo.Clone_db.entries) ] );
-      ("pool", J.Assoc [ ("jobs", J.Int (Parallel.Pool.get_jobs ())) ]);
       ("counters", counters) ]
 
 (* ------------------------------------------------------------------ *)

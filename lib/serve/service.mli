@@ -13,10 +13,10 @@
     + admission control — the Σ size² estimate is charged against the
       per-request and per-server budgets, queueing FIFO or rejecting
       with a structured reason;
-    + the compile itself, serialized under one lock: the warm domain
-      pool has a single-batch contract, and serialization is also what
-      lets a private telemetry collector capture the per-request spans
-      and decision journal.  Results are rendered with {!Render} so
+    + the compile itself, serialized under one lock: the telemetry
+      collector is process-global, and serialization is what lets a
+      private collector capture the per-request spans and decision
+      journal.  Results are rendered with {!Render} so
       they are bit-identical to in-process `hloc`;
     + the superset of output pieces is stored content-addressed, then
       the response selects the pieces this client asked for.
@@ -24,7 +24,9 @@
     All entry points are thread-safe. *)
 
 type config = {
-  jobs : int;  (** warm pool degree for the compile pipeline *)
+  jobs : int;
+      (** ignored: compiles are sequential.  Kept so existing
+          configurations still build. *)
   server_budget : float;  (** Σ size² capacity granted concurrently *)
   request_budget : float;  (** max Σ size² estimate of one request *)
   queue_limit : int;  (** admission queue bound *)

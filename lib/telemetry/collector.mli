@@ -11,8 +11,9 @@
 
     Domain-safe: the event list and counters are mutex-guarded, and
     each domain keeps its own open-span stack (a span opened on one
-    domain closes on that domain), so parallel compilation shards can
-    emit spans and counters concurrently without losing events.
+    domain closes on that domain), so compiles running on several
+    domains can emit spans and counters concurrently without losing
+    events.
     [install]/[uninstall] are expected from the main domain only. *)
 
 type t

@@ -3,10 +3,10 @@
     The block-list IR ({!Types.routine}) is pleasant to transform but
     expensive to *query*: every size, hash or loop-structure question
     walks a pointer-chasing list-of-lists, allocating as it goes, and
-    the GC pays for it on every domain of a parallel compile.  This
-    module flattens one routine version into a handful of immutable
-    int arrays — one row per instruction, side pools for call
-    arguments, constants and interned names — built in a single walk.
+    the GC pays for it.  This module flattens one routine version into
+    a handful of immutable int arrays — one row per instruction, side
+    pools for call arguments, constants and interned names — built in a
+    single walk.
     The hot consumers ({!Size}-style instruction counts, the
     identity-excluding body digest behind the summary cache, the CFG
     cycle analysis feeding the loop heuristics) then run over dense

@@ -488,16 +488,15 @@ let gen_hlo_config : Hlo.Config.t Gen.t =
   Hlo.Config.with_scope base scope
 
 (* ------------------------------------------------------------------ *)
-(* Scale-sized deterministic programs (bench/bench_scale.ml).          *)
+(* Scale-sized deterministic programs (perfbench's compile_mix).       *)
 
 (* The qcheck generators above make *small* adversarial programs for
    shrinking; the scale generator makes *big* boring ones — thousands
-   of routines across dozens of modules — so the parallel pool has
-   enough independent shards to amortize its overhead.  Everything is
-   a pure function of (shape, routines, seed): the PRNG is the same
-   LCG as lib/workloads/synthetic.ml, so the generated text — and
-   therefore the compiled IR — is bit-identical across runs and jobs
-   levels. *)
+   of routines across dozens of modules — to measure how compile time
+   grows with program size.  Everything is a pure function of (shape,
+   routines, seed): the PRNG is the same LCG as
+   lib/workloads/synthetic.ml, so the generated text — and therefore
+   the compiled IR — is bit-identical across runs. *)
 
 module Scale = struct
   type shape =

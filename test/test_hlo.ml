@@ -753,6 +753,37 @@ let test_outliner_on_workloads () =
       ignore (hlo_preserves ~config p))
     [ "124.m88ksim"; "147.vortex"; "026.compress" ]
 
+(* A pool policy from hlo_tune's search space whose [outline] stage
+   runs on both passes: the second pass re-outlines the call block the
+   first one left behind, which keeps the region's entry label and so
+   the residue's name.  Every workload must still compile to valid IR. *)
+let test_outliner_reoutline_names () =
+  let policy =
+    match
+      Policy.of_string
+        "budget_percent 259.4\nstaging 1\npass_limit 2\n\
+         cold_site_penalty 0.41\nindirect_bonus 0.93\noutline false\n\
+         outline_cold_fraction 0.42\noutline_min_instructions 2\n\
+         outline_max_inputs 3\ninline_mode region\n\
+         region_cold_fraction 0.09\nstages outline,clone,prune,clean\n"
+    with
+    | Ok p -> p
+    | Error msg -> Alcotest.fail msg
+  in
+  let config = { (Hlo.Config.of_policy policy) with Hlo.Config.validate = true } in
+  List.iter
+    (fun (b : Workloads.Suite.benchmark) ->
+      let p = Workloads.Suite.compile b ~input:Workloads.Suite.Train in
+      let profile = (Interp.train p).Interp.profile in
+      let result = Hlo.Driver.run ~config ~profile p in
+      match Ucode.Validate.check_program result.Hlo.Driver.program with
+      | [] -> ()
+      | errors ->
+        Alcotest.fail
+          (b.Workloads.Suite.b_name ^ ": "
+          ^ Ucode.Validate.errors_to_string errors))
+    Workloads.Suite.all
+
 let test_outliner_never_whole_body () =
   (* An absurd cold cut classifies every block as cold, but a region
      can never swallow a whole routine: the entry block is structurally
@@ -1014,7 +1045,9 @@ let () =
           Alcotest.test_case "max_inputs overflow" `Quick
             test_outliner_max_inputs_overflow;
           Alcotest.test_case "outlines inside clones" `Quick
-            test_outliner_inside_clones ] );
+            test_outliner_inside_clones;
+          Alcotest.test_case "re-outlining picks a free name" `Slow
+            test_outliner_reoutline_names ] );
       ( "driver",
         [ Alcotest.test_case "zero budget" `Quick test_driver_zero_budget;
           Alcotest.test_case "max operations" `Quick test_driver_max_operations;

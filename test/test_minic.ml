@@ -186,6 +186,19 @@ let test_sema_cross_module () =
   check_int "one error (hidden)" 1
     (List.length (List.filter Minic.Diag.is_error diags))
 
+(* Sema lets a builtin's name through as an expression; lowering
+   rejects it.  That must surface as the diagnostic compile_program
+   promises, not as an escaped lowering exception. *)
+let test_lowering_errors_are_diagnostics () =
+  match Minic.Compile.compile_string "func main() { print_int; return 0; }" with
+  | _ -> Alcotest.fail "expected a compile error"
+  | exception Minic.Diag.Compile_error [ d ] ->
+    check_string "diagnostic"
+      "main.mc:1:15: error: cannot take the value of builtin print_int"
+      (Minic.Diag.to_string d)
+  | exception Minic.Diag.Compile_error ds ->
+    Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
+
 (* ------------------------------------------------------------------ *)
 (* Lowered semantics (via the interpreter).                            *)
 
@@ -400,7 +413,9 @@ let () =
           Alcotest.test_case "assignment targets" `Quick
             test_sema_assignment_targets;
           Alcotest.test_case "addr-of" `Quick test_sema_addr_of;
-          Alcotest.test_case "cross-module" `Quick test_sema_cross_module ] );
+          Alcotest.test_case "cross-module" `Quick test_sema_cross_module;
+          Alcotest.test_case "lowering errors are diagnostics" `Quick
+            test_lowering_errors_are_diagnostics ] );
       ( "semantics",
         [ Alcotest.test_case "arithmetic" `Quick test_semantics_arith;
           Alcotest.test_case "short-circuit" `Quick test_semantics_short_circuit;

@@ -132,8 +132,7 @@ let prop_mutations_neutral =
       List.for_all
         (fun m ->
           let check =
-            { Oracle.default_check with
-              Oracle.ck_config =
+            { Oracle.ck_config =
                 Hlo.Config.with_scope Oracle.default_check.Oracle.ck_config
                   Hlo.Config.CP;
               ck_mutation = m }

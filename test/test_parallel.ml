@@ -1,177 +1,108 @@
-(* The parallel determinism suite.
+(* The candidate-level parallel map and the summary cache.
 
-   The contract under test: compiling with any `--jobs N` produces
-   results *bit-identical* to the sequential compile — the final IR,
-   the HLO report, and the optimizer decision journal (timestamps
-   excluded; they are wall-clock).  Plus unit coverage for the domain
-   pool itself and for the content-hashed summary cache, including
-   warm-vs-cold equivalence and the on-disk round-trip. *)
+   The contract under test: [Parallel.Pool.map_list] returns exactly
+   what [List.map] returns at any degree, re-raising the lowest-index
+   failure; and HLO compiles run as concurrent candidates — the way
+   hlo_tune evaluates policies — produce IR and reports bit-identical
+   to sequential ones, although they share the summary cache and the
+   clone database.  Plus unit coverage for the content-hashed summary
+   cache, including warm-vs-cold equivalence and the on-disk
+   round-trip. *)
 
 module U = Ucode.Types
 module Pool = Parallel.Pool
 
 let jobs_levels = [ 1; 2; 4; 8 ]
 
+let with_jobs jobs f =
+  let saved = Pool.get_jobs () in
+  Pool.set_jobs jobs;
+  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) f
+
 (* ------------------------------------------------------------------ *)
 (* Pool unit tests.                                                    *)
 
 let test_pool_matches_sequential () =
-  let p = Pool.create ~jobs:4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  let xs = Array.init 257 (fun i -> i) in
+  let xs = List.init 257 Fun.id in
   let f x = (x * 7919) mod 1001 in
-  Alcotest.(check (array int))
-    "map_array_in = Array.map" (Array.map f xs)
-    (Pool.map_array_in p f xs);
-  Alcotest.(check (list int))
-    "map_list_in = List.map"
-    (List.map f (Array.to_list xs))
-    (Pool.map_list_in p f (Array.to_list xs))
-
-let test_pool_priority_is_cosmetic () =
-  let p = Pool.create ~jobs:4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  let xs = Array.init 100 (fun i -> i) in
-  let f x = x * x in
-  (* Reverse priority: highest index scheduled first.  Results must be
-     in input order regardless. *)
-  let priority = Array.init 100 (fun i -> -i) in
-  Alcotest.(check (array int))
-    "priority changes scheduling only" (Array.map f xs)
-    (Pool.map_array_in p ~priority f xs)
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "map_list = List.map at jobs %d" jobs)
+        (List.map f xs)
+        (with_jobs jobs (fun () -> Pool.map_list f xs)))
+    [ 1; 2 ]
 
 exception Boom of int
 
-let test_pool_first_error_by_index () =
-  let p = Pool.create ~jobs:4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  (* Items 3 and 17 fail; whatever finishes first, the raised error
-     must be item 3's — exactly what sequential Array.map would do. *)
-  let xs = Array.init 64 (fun i -> i) in
-  let f x = if x = 3 || x = 17 then raise (Boom x) else x in
-  (* Schedule item 17 first to tempt a completion-order implementation
-     into raising the wrong one. *)
-  let priority = Array.map (fun x -> if x = 17 then -1 else x) xs in
-  match Pool.map_array_in p ~priority f xs with
-  | _ -> Alcotest.fail "expected an exception"
-  | exception Boom n -> Alcotest.(check int) "first failure by index" 3 n
+(* Spin for roughly [n] units of work; keeps items busy for uneven
+   times so executors finish out of index order. *)
+let spin n =
+  let acc = ref 0 in
+  for k = 1 to n do
+    acc := !acc + (k mod 7)
+  done;
+  !acc
 
-let test_pool_nested_maps () =
-  let p = Pool.create ~jobs:4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  (* A parallel map whose items themselves map in parallel: the inner
-     maps must degrade to inline execution (Pool.in_worker) instead of
-     deadlocking on the shared queue. *)
-  let outer = Array.init 8 (fun i -> i) in
-  let f i =
-    Array.fold_left ( + ) 0
-      (Pool.map_array_in p (fun j -> (i * 10) + j) (Array.init 10 Fun.id))
+let test_pool_first_error_by_index () =
+  (* Items 3 and 17 fail; item 3 fails late, so a completion-order
+     implementation would raise item 17's error.  The raised error must
+     be item 3's — exactly what sequential List.map would do. *)
+  let f x =
+    if x = 3 then (ignore (spin 2_000_000 : int); raise (Boom x))
+    else if x = 17 then raise (Boom x)
+    else x
   in
-  Alcotest.(check (array int))
-    "nested map" (Array.map f outer)
-    (Pool.map_array_in p f outer)
+  List.iter
+    (fun jobs ->
+      match with_jobs jobs (fun () -> Pool.map_list f (List.init 64 Fun.id)) with
+      | _ -> Alcotest.fail "expected an exception"
+      | exception Boom n ->
+        Alcotest.(check int)
+          (Printf.sprintf "first failure by index at jobs %d" jobs) 3 n)
+    [ 1; 2 ]
 
 let test_pool_ambient_degree () =
-  let saved = Pool.get_jobs () in
-  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) @@ fun () ->
-  Pool.set_jobs 3;
+  with_jobs 3 @@ fun () ->
   Alcotest.(check int) "set/get" 3 (Pool.get_jobs ());
-  Alcotest.(check int) "pool degree" 3 (Pool.jobs (Pool.the ()));
   Pool.set_jobs 0;
   Alcotest.(check int) "clamped to 1" 1 (Pool.get_jobs ())
 
-(* The warm pool: consecutive maps at an unchanged degree must not
-   spawn domains; resizing spawns or joins only the delta. *)
-let test_pool_resize_reuse () =
-  let p = Pool.create ~jobs:4 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  Alcotest.(check int) "create spawns jobs - 1" 3 (Pool.spawned p);
-  let xs = Array.init 100 Fun.id in
-  ignore (Pool.map_array_in p (fun x -> x + 1) xs : int array);
-  let s1 = Pool.spawned p in
-  ignore (Pool.map_array_in p (fun x -> x * 2) xs : int array);
-  ignore (Pool.map_array_in p (fun x -> x - 3) xs : int array);
-  Alcotest.(check int) "no spawn between maps at the same degree" s1
-    (Pool.spawned p);
-  Pool.resize p 2;
-  Alcotest.(check int) "shrinking spawns nothing" s1 (Pool.spawned p);
-  Alcotest.(check int) "degree shrunk" 2 (Pool.jobs p);
-  ignore (Pool.map_array_in p (fun x -> x + 7) xs : int array);
-  Alcotest.(check int) "still warm after shrink" s1 (Pool.spawned p);
-  Pool.resize p 4;
-  Alcotest.(check int) "growing spawns only the delta" (s1 + 2)
-    (Pool.spawned p);
-  Alcotest.(check (array int))
-    "map correct after resizes"
-    (Array.map succ xs)
-    (Pool.map_array_in p succ xs)
-
 (* Many items failing concurrently on every executor: the error raised
-   must still be the lowest-index one, run after run.  chunk_size 1
-   makes every failure its own stealable task, and the reversed
-   priority schedules the *highest* failing index first. *)
+   must still be the lowest-index one, run after run. *)
 let test_pool_concurrent_failures () =
-  let p = Pool.create ~jobs:8 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
+  with_jobs 8 @@ fun () ->
   for round = 1 to 20 do
-    let n = 128 in
-    let xs = Array.init n Fun.id in
     let first = 5 + (round mod 7) in
-    let priority = Array.init n (fun i -> -i) in
     let f x = if x >= first then raise (Boom x) else x in
-    match Pool.map_array_in p ~priority ~chunk_size:1 f xs with
+    match Pool.map_list f (List.init 128 Fun.id) with
     | _ -> Alcotest.fail "expected an exception"
     | exception Boom got ->
       Alcotest.(check int) "lowest failing index wins" first got
   done
 
-(* Property: the steal path never changes results.  Random per-item
-   busy-work (so deques drain unevenly and executors steal), random
-   priorities, random chunk sizes, at every jobs level. *)
-let prop_steal_determinism =
+(* Property: uneven per-item work (so executors claim items in varying
+   orders) never changes results, at every jobs level. *)
+let prop_map_list_determinism =
   QCheck.Test.make ~count:25
-    ~name:"map_array_in = Array.map under random durations/priorities/chunks"
-    QCheck.(
-      triple (int_range 1 150) (int_range 0 1_000_000)
-        (option (int_range 1 40)))
-    (fun (n, seed, chunk_size) ->
-      let state = ref (Int64.of_int (seed + 1)) in
-      let next bound =
-        state :=
-          Int64.add
-            (Int64.mul !state 6364136223846793005L)
-            1442695040888963407L;
-        Int64.to_int
-          (Int64.rem (Int64.shift_right_logical !state 33) (Int64.of_int bound))
-      in
-      let work = Array.init n (fun _ -> next 300) in
-      let priority = Array.init n (fun _ -> next 1000 - 500) in
-      let f i =
-        let acc = ref 0 in
-        for k = 1 to work.(i) do
-          acc := !acc + ((k * (i + 1)) mod 97)
-        done;
-        (i * 7919) + (!acc mod 13)
-      in
-      let xs = Array.init n Fun.id in
-      let expected = Array.map f xs in
+    ~name:"map_list = List.map, uneven work"
+    QCheck.(pair (int_range 1 150) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let work = Array.init n (fun _ -> Random.State.int rng 300) in
+      let f i = (i * 7919) + (spin work.(i) mod 13) in
+      let xs = List.init n Fun.id in
+      let expected = List.map f xs in
       List.iter
         (fun jobs ->
-          let p = Pool.create ~jobs in
-          Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-          let got = Pool.map_array_in p ~priority ?chunk_size f xs in
-          if got <> expected then
+          if with_jobs jobs (fun () -> Pool.map_list f xs) <> expected then
             QCheck.Test.fail_report
-              (Printf.sprintf
-                 "results differ at jobs=%d (n=%d chunk_size=%s)" jobs n
-                 (match chunk_size with
-                 | None -> "auto"
-                 | Some c -> string_of_int c)))
+              (Printf.sprintf "results differ at jobs=%d (n=%d)" jobs n))
         jobs_levels;
       true)
 
 (* ------------------------------------------------------------------ *)
-(* One full compile, instrumented.                                     *)
+(* Warm summary cache.                                                 *)
 
 (* The decision journal with wall-clock stripped: everything the
    optimizer decided, in order, without the one field that legitimately
@@ -209,47 +140,37 @@ type run_result = {
   rr_journal : journal_entry list;
 }
 
-(* Compile sources → train (if the config wants profile) → HLO, with
-   [jobs] ambient domains and a private collector, returning everything
-   the determinism contract covers.  [profile] is computed by the
-   caller once per program: the training interpreter is sequential and
-   deterministic, so sharing it just avoids redundant work. *)
-let run_once ~jobs ~(config : Hlo.Config.t) ~profile sources : run_result =
-  Pool.set_jobs jobs;
-  Fun.protect ~finally:(fun () -> Pool.set_jobs 1) @@ fun () ->
+let hlo_outputs (res : Hlo.Driver.result) =
+  ( Ucode.Pp.program_to_string res.Hlo.Driver.program,
+    Fmt.str "%a" Hlo.Report.pp res.Hlo.Driver.report )
+
+(* Compile sources → HLO with a private collector, returning
+   everything the warm-cache contract covers.  [profile] is computed by
+   the caller once per program. *)
+let run_once ~(config : Hlo.Config.t) ~profile sources : run_result =
   let collector = Telemetry.Collector.create () in
   Telemetry.Collector.install collector;
   Fun.protect ~finally:Telemetry.Collector.uninstall @@ fun () ->
   let program, _diags = Minic.Compile.compile_program sources in
-  (* Validate after the parallel front end stage, every time. *)
-  (match Ucode.Validate.check_program program with
-  | [] -> ()
-  | errors ->
-    Alcotest.fail
-      ("front end produced invalid IR:\n"
-      ^ Ucode.Validate.errors_to_string errors));
-  let res = Hlo.Driver.run ~config ~profile program in
-  (* config.validate is on for every generated config, so the driver
-     also validated after each clone/inline/optimize stage. *)
-  { rr_ir = Ucode.Pp.program_to_string res.Hlo.Driver.program;
-    rr_report = Fmt.str "%a" Hlo.Report.pp res.Hlo.Driver.report;
-    rr_journal = journal_of collector }
+  let rr_ir, rr_report = hlo_outputs (Hlo.Driver.run ~config ~profile program) in
+  { rr_ir; rr_report; rr_journal = journal_of collector }
+
+let profile_of program =
+  match
+    Interp.run
+      ~config:{ Prog_gen.interp_config with Interp.profile = true }
+      program
+  with
+  | r -> r.Interp.profile
+  | exception Interp.Trap _ -> Ucode.Profile.empty
 
 let profile_for ~(config : Hlo.Config.t) sources =
-  if config.Hlo.Config.use_profile then begin
-    let program, _ = Minic.Compile.compile_program sources in
-    match
-      Interp.run
-        ~config:{ Prog_gen.interp_config with Interp.profile = true }
-        program
-    with
-    | r -> r.Interp.profile
-    | exception Interp.Trap _ -> Ucode.Profile.empty
-  end
+  if config.Hlo.Config.use_profile then
+    profile_of (fst (Minic.Compile.compile_program sources))
   else Ucode.Profile.empty
 
-let check_identical ~what ~jobs (reference : run_result) (got : run_result) =
-  let tag s = Printf.sprintf "%s: %s at jobs=%d vs jobs=1" what s jobs in
+let check_identical ~what (reference : run_result) (got : run_result) =
+  let tag s = Printf.sprintf "%s: %s" what s in
   Alcotest.(check string) (tag "IR") reference.rr_ir got.rr_ir;
   Alcotest.(check string) (tag "report") reference.rr_report got.rr_report;
   if reference.rr_journal <> got.rr_journal then begin
@@ -268,23 +189,6 @@ let check_identical ~what ~jobs (reference : run_result) (got : run_result) =
       (show reference.rr_journal) (show got.rr_journal)
   end
 
-(* ------------------------------------------------------------------ *)
-(* Property: random programs, random configs, jobs 1..8.               *)
-
-let prop_differential_determinism =
-  QCheck.Test.make ~count:25
-    ~name:"jobs 1/2/4/8 produce identical IR, report and journal"
-    (QCheck.pair Prog_gen.arbitrary_sources (QCheck.make Prog_gen.gen_hlo_config))
-    (fun (sources, config) ->
-      let profile = profile_for ~config sources in
-      let reference = run_once ~jobs:1 ~config ~profile sources in
-      List.iter
-        (fun jobs ->
-          let got = run_once ~jobs ~config ~profile sources in
-          check_identical ~what:"random program" ~jobs reference got)
-        (List.filter (fun j -> j > 1) jobs_levels);
-      true)
-
 (* Property: a warm summary cache changes nothing but the hit counter. *)
 let prop_warm_cache_equals_cold =
   QCheck.Test.make ~count:25 ~name:"warm summary cache equals cold"
@@ -292,11 +196,11 @@ let prop_warm_cache_equals_cold =
     (fun (sources, config) ->
       let profile = profile_for ~config sources in
       Hlo.Summary_cache.clear ();
-      let cold = run_once ~jobs:1 ~config ~profile sources in
+      let cold = run_once ~config ~profile sources in
       let stats_cold = Hlo.Summary_cache.stats () in
-      let warm = run_once ~jobs:1 ~config ~profile sources in
+      let warm = run_once ~config ~profile sources in
       let stats_warm = Hlo.Summary_cache.stats () in
-      check_identical ~what:"warm vs cold" ~jobs:1 cold warm;
+      check_identical ~what:"warm vs cold" cold warm;
       (* The warm run must actually have been served by the cache: no
          new entries appeared (same program ⇒ same body hashes). *)
       if stats_warm.Hlo.Summary_cache.entries
@@ -309,21 +213,41 @@ let prop_warm_cache_equals_cold =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* The 14 paper workloads, swept across jobs levels.                   *)
+(* The 14 paper workloads as concurrent candidates.                    *)
 
+(* Two candidates (whole and region mode) compiled from one shared
+   input program, as Policy_search evaluates a batch.  The journal is
+   not compared: concurrent candidates share the process-global
+   collector. *)
 let workload_case (b : Workloads.Suite.benchmark) =
   let name = Printf.sprintf "%s bit-identical at jobs 1/2/4/8" b.Workloads.Suite.b_name in
   ( name,
     `Slow,
     fun () ->
       let sources = Workloads.Suite.sources b ~input:Workloads.Suite.Train in
-      let config = { Hlo.Config.default with Hlo.Config.validate = true } in
-      let profile = profile_for ~config sources in
-      let reference = run_once ~jobs:1 ~config ~profile sources in
+      let program, _ = Minic.Compile.compile_program sources in
+      let profile = profile_of program in
+      let configs =
+        List.map
+          (fun inline_mode ->
+            { Hlo.Config.default with Hlo.Config.validate = true; inline_mode })
+          Policy.[ Whole; Region ]
+      in
+      let candidate config =
+        hlo_outputs (Hlo.Driver.run ~config ~profile program)
+      in
+      let reference = List.map candidate configs in
       List.iter
         (fun jobs ->
-          let got = run_once ~jobs ~config ~profile sources in
-          check_identical ~what:b.Workloads.Suite.b_name ~jobs reference got)
+          let got = with_jobs jobs (fun () -> Pool.map_list candidate configs) in
+          List.iter2
+            (fun (ir, report) (ir', report') ->
+              let tag s =
+                Printf.sprintf "%s: %s at jobs=%d" b.Workloads.Suite.b_name s jobs
+              in
+              Alcotest.(check string) (tag "IR") ir ir';
+              Alcotest.(check string) (tag "report") report report')
+            reference got)
         (List.filter (fun j -> j > 1) jobs_levels) )
 
 (* ------------------------------------------------------------------ *)
@@ -435,21 +359,13 @@ let () =
     [ ( "pool",
         [ Alcotest.test_case "deterministic map" `Quick
             test_pool_matches_sequential;
-          Alcotest.test_case "priority is cosmetic" `Quick
-            test_pool_priority_is_cosmetic;
           Alcotest.test_case "first error by index" `Quick
             test_pool_first_error_by_index;
-          Alcotest.test_case "nested maps run inline" `Quick
-            test_pool_nested_maps;
           Alcotest.test_case "ambient degree" `Quick test_pool_ambient_degree;
-          Alcotest.test_case "resize reuses warm workers" `Quick
-            test_pool_resize_reuse;
           Alcotest.test_case "concurrent failures: first by index" `Quick
             test_pool_concurrent_failures;
-          to_alcotest prop_steal_determinism ] );
-      ( "determinism",
-        [ to_alcotest prop_differential_determinism;
-          to_alcotest prop_warm_cache_equals_cold ] );
+          to_alcotest prop_map_list_determinism ] );
+      ( "determinism", [ to_alcotest prop_warm_cache_equals_cold ] );
       ( "workloads",
         List.map workload_case Workloads.Suite.all );
       ( "summary_cache",

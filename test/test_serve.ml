@@ -352,9 +352,9 @@ let test_artifacts_disk_eviction () =
 module S = Serve.Service
 
 let service_config ?artifact_dir ?(max_frame = P.default_max_frame) () =
-  { S.jobs = 1; server_budget = 1.0e9; request_budget = 1.0e9;
-    queue_limit = 16; artifact_dir; artifact_cap = None; summary_cache = None;
-    max_frame }
+  { S.default_config with
+    server_budget = 1.0e9; request_budget = 1.0e9; queue_limit = 16;
+    artifact_dir; artifact_cap = None; summary_cache = None; max_frame }
 
 let compile_req ?(modules = sample_modules) options =
   P.Compile { modules; options }
@@ -584,6 +584,20 @@ let test_service_failure_parity () =
   match S.handle svc (compile_req ~modules:bad full_options) with
   | P.Failed _ -> ()
   | _ -> Alcotest.fail "still Failed on retry"
+
+(* A module that parses and passes sema but fails lowering is a
+   compile error like any other, with the diagnostic in the diag piece
+   — not an internal error carrying an exception name. *)
+let test_service_lowering_error () =
+  let svc = S.create (service_config ()) in
+  let bad = [ ("main", "func main() { print_int; return 0; }") ] in
+  match S.handle svc (compile_req ~modules:bad full_options) with
+  | P.Failed { kind = "compile_error"; outputs = [ ("diag", text) ]; _ } ->
+    check_string "diagnostic"
+      "main.mc:1:15: error: cannot take the value of builtin print_int\n" text
+  | P.Failed { kind; reason; _ } ->
+    Alcotest.failf "expected a compile_error, got %s: %s" kind reason
+  | _ -> Alcotest.fail "expected Failed"
 
 let test_service_admission_reject () =
   let cfg = { (service_config ()) with S.request_budget = 1.0 } in
@@ -931,7 +945,9 @@ let () =
          Alcotest.test_case "disk artifacts survive restart" `Quick
            test_service_disk_artifacts;
          Alcotest.test_case "bit-identity on all 14 workloads" `Slow
-           test_service_identity_all_workloads ]);
+           test_service_identity_all_workloads;
+         Alcotest.test_case "lowering error is a compile error" `Quick
+           test_service_lowering_error ]);
       ("socket",
        [ Alcotest.test_case "two clients, one compile" `Quick
            test_socket_two_clients_one_compile;
