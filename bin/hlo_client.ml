@@ -6,19 +6,12 @@
      hlo_client shutdown                          # graceful drain
 
    A compile served here prints exactly what `hloc` would print for
-   the same flags — the daemon renders through the same code. *)
+   the same flags: both take them from the same terms, and the daemon
+   runs the same pipeline. *)
 
 open Cmdliner
 
 module P = Serve.Protocol
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let module_name_of_path path = Filename.remove_extension (Filename.basename path)
 
 let resolve_socket = function
   | Some s -> s
@@ -31,60 +24,13 @@ let with_client socket f =
     Fun.protect ~finally:(fun () -> Serve.Client.close client) (fun () ->
         f client)
 
-(* Replay the daemon's output pieces exactly as `hloc` would have
-   printed them: "diag" to stderr, everything else to stdout in
-   order. *)
-let print_outputs outputs =
-  List.iter
-    (fun (channel, text) ->
-      if channel = "diag" then prerr_string text else print_string text)
-    outputs;
-  flush stdout;
-  flush stderr
-
-let compile files scope budget passes no_inline no_clone max_ops
-    inline_mode policy dump_ir dump_asm dump_profile dump_journal stats
-    runner main socket verbose =
-  let modules =
-    List.map (fun path -> (module_name_of_path path, read_file path)) files
-  in
+let compile files config outputs socket verbose =
   match
-    match policy with
-    | None -> Ok None
-    | Some path -> (
-      match Policy.load ~path with
-      | Ok (Some p) -> Ok (Some (Policy.to_string p))
-      | Ok None -> Error (Printf.sprintf "policy file %s does not exist" path)
-      | Error msg -> Error msg)
+    Cli.daemon_compile ~verbose ~socket:(resolve_socket socket) ~files
+      (P.options_of_config ~base:outputs config)
   with
+  | Ok result -> result
   | Error msg -> `Error (false, msg)
-  | Ok co_policy ->
-  let options =
-    { P.co_scope = scope; co_budget = budget; co_passes = passes;
-      co_inline = not no_inline; co_clone = not no_clone;
-      co_max_ops = max_ops; co_policy;
-      co_inline_mode = Policy.inline_mode_name inline_mode;
-      co_main = main; co_runner = runner;
-      co_stats = stats; co_dump_ir = dump_ir; co_dump_profile = dump_profile;
-      co_dump_asm = dump_asm; co_dump_journal = dump_journal }
-  in
-  with_client socket @@ fun client ->
-  match Serve.Client.roundtrip client (P.Compile { modules; options }) with
-  | Error msg -> `Error (false, msg)
-  | Ok (P.Compiled { outputs; cache; key; queued; elapsed_us }) ->
-    if verbose then
-      Fmt.epr "[serve] cache=%s key=%s queued=%b elapsed_us=%.0f@." cache key
-        queued elapsed_us;
-    print_outputs outputs;
-    `Ok ()
-  | Ok (P.Failed { reason; outputs; _ }) ->
-    print_outputs outputs;
-    `Error (false, reason)
-  | Ok (P.Rejected rj) ->
-    `Error
-      (false,
-       Printf.sprintf "rejected (%s): %s" rj.P.rj_kind rj.P.rj_reason)
-  | Ok _ -> `Error (false, "unexpected response")
 
 let stats socket =
   with_client socket @@ fun client ->
@@ -125,78 +71,6 @@ let files =
   Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE"
          ~doc:"MiniC source modules; the module name is the file basename.")
 
-let scope =
-  Arg.(value & opt string "cp"
-       & info [ "scope" ] ~docv:"SCOPE"
-           ~doc:"Optimization scope: $(b,base), $(b,c), $(b,p) or $(b,cp).")
-
-let budget =
-  Arg.(value & opt float 100.0
-       & info [ "budget" ] ~docv:"PERCENT" ~doc:"Compile-time growth budget.")
-
-let passes =
-  Arg.(value & opt int 4
-       & info [ "passes" ] ~docv:"N" ~doc:"Maximum clone+inline pass pairs.")
-
-let no_inline =
-  Arg.(value & flag & info [ "no-inline" ] ~doc:"Disable inlining.")
-
-let no_clone = Arg.(value & flag & info [ "no-clone" ] ~doc:"Disable cloning.")
-
-let max_ops =
-  Arg.(value & opt (some int) None
-       & info [ "max-operations" ] ~docv:"N"
-           ~doc:"Stop after N inline/clone operations.")
-
-let inline_mode =
-  let parse s =
-    match Policy.inline_mode_of_name s with
-    | Ok m -> Ok m
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf m = Fmt.string ppf (Policy.inline_mode_name m) in
-  Arg.(value & opt (conv (parse, print)) Policy.Whole
-       & info [ "inline-mode" ] ~docv:"MODE"
-           ~doc:"Inlining mode: $(b,whole), $(b,region) or $(b,demand); \
-                 forwarded to the daemon as `hloc --inline-mode` would \
-                 apply it in-process.")
-
-let policy =
-  Arg.(value & opt (some file) None
-       & info [ "policy" ] ~docv:"FILE"
-           ~doc:"Send a tuned HLO policy with the request ($(docv) as for \
-                 `hloc --policy`); the daemon overlays it exactly as \
-                 `hloc --policy` does.")
-
-let dump_ir =
-  Arg.(value & flag & info [ "dump-ir" ] ~doc:"Print the optimized ucode.")
-
-let dump_asm =
-  Arg.(value & flag & info [ "dump-asm" ] ~doc:"Print the VR32 disassembly.")
-
-let dump_profile =
-  Arg.(value & flag
-       & info [ "dump-profile" ] ~doc:"Print the training profile database.")
-
-let dump_journal =
-  Arg.(value & flag
-       & info [ "dump-journal" ]
-           ~doc:"Print the optimizer decision journal (one line per \
-                 decision, deterministic).")
-
-let stats_flag =
-  Arg.(value & flag
-       & info [ "stats" ] ~doc:"Print transformation and run statistics.")
-
-let runner =
-  Arg.(value & opt string "sim"
-       & info [ "run" ] ~docv:"ENGINE"
-           ~doc:"Execute the result: $(b,interp), $(b,sim) or $(b,none).")
-
-let entry_name =
-  Arg.(value & opt string "main"
-       & info [ "main" ] ~docv:"NAME" ~doc:"Entry routine.")
-
 let verbose =
   Arg.(value & flag
        & info [ "verbose" ]
@@ -207,10 +81,8 @@ let compile_cmd =
   let doc = "compile MiniC modules through the daemon" in
   Cmd.v (Cmd.info "compile" ~doc)
     Term.(ret
-            (const compile $ files $ scope $ budget $ passes $ no_inline
-            $ no_clone $ max_ops $ inline_mode $ policy $ dump_ir $ dump_asm
-            $ dump_profile $ dump_journal $ stats_flag $ runner $ entry_name
-            $ socket $ verbose))
+            (const compile $ files $ Cli.config $ Cli.outputs $ socket
+            $ verbose))
 
 let stats_cmd =
   let doc = "print server statistics as JSON" in

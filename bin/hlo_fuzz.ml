@@ -241,16 +241,8 @@ let replay =
                  remaining flags (see the generated repro.cmd).")
 
 let scope =
-  let parse = function
-    | "base" -> Ok Hlo.Config.Base
-    | "c" -> Ok Hlo.Config.C
-    | "p" -> Ok Hlo.Config.P
-    | "cp" -> Ok Hlo.Config.CP
-    | s -> Error (`Msg ("unknown scope " ^ s))
-  in
-  let print ppf s = Fmt.string ppf (Hlo.Config.scope_name s) in
   Arg.(value
-       & opt (conv (parse, print)) Hlo.Config.CP
+       & opt Cli.scope_conv Hlo.Config.CP
        & info [ "scope" ] ~docv:"SCOPE"
            ~doc:"(replay) Optimization scope: $(b,base), $(b,c), $(b,p), \
                  $(b,cp).")
@@ -264,14 +256,8 @@ let passes =
        & info [ "passes" ] ~docv:"N" ~doc:"(replay) Maximum pass pairs.")
 
 let staging =
-  let parse s =
-    match Hlo.Config.staging_of_string s with
-    | Ok v -> Ok v
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf s = Fmt.string ppf (Hlo.Config.staging_to_string s) in
   Arg.(value
-       & opt (some (conv (parse, print))) None
+       & opt (some Cli.staging_conv) None
        & info [ "staging" ] ~docv:"FRACTIONS"
            ~doc:"(replay) Comma-separated cumulative budget fractions.")
 
@@ -285,14 +271,8 @@ let outline =
   Arg.(value & flag & info [ "outline" ] ~doc:"(replay) Enable outlining.")
 
 let inline_mode =
-  let parse s =
-    match Policy.inline_mode_of_name s with
-    | Ok m -> Ok m
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf m = Fmt.string ppf (Policy.inline_mode_name m) in
   Arg.(value
-       & opt (some (conv (parse, print))) None
+       & opt (some Cli.inline_mode_conv) None
        & info [ "inline-mode" ] ~docv:"MODE"
            ~doc:"Inlining mode: $(b,whole), $(b,region) or $(b,demand).  \
                  In a campaign, restrict every case (corpus and \

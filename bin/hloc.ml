@@ -21,15 +21,8 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+module P = Serve.Protocol
 
-let module_name_of_path path = Filename.remove_extension (Filename.basename path)
-
-type runner = Run_none | Run_interp | Run_sim
 type trace_format = Trace_chrome | Trace_jsonl
 type mode = Whole | Compile_only | Link_isoms | Incremental
 
@@ -48,112 +41,28 @@ let classify_inputs files =
       else
         ( path,
           Isom.Build.Src
-            (Minic.Compile.source ~module_name:(module_name_of_path path)
-               (read_file path)) ))
+            (Minic.Compile.source ~module_name:(Cli.module_name_of_path path)
+               (Cli.read_file path)) ))
     files
 
 type daemon_mode = Daemon_off | Daemon_auto | Daemon_require
-
-(* Replay daemon output pieces exactly as the in-process path prints
-   them: "diag" to stderr, everything else to stdout in order. *)
-let print_daemon_outputs outputs =
-  List.iter
-    (fun (channel, text) ->
-      if channel = "diag" then prerr_string text else print_string text)
-    outputs;
-  flush stdout;
-  flush stderr
 
 (* Route an eligible compile through a running hlod.  [Ok result] is a
    final answer (success or a faithfully replayed failure); [Error msg]
    means "no usable daemon" — `--daemon auto` falls back to the
    in-process pipeline, `--daemon require` reports [msg]. *)
-let try_daemon ~socket ~files ~scope ~budget ~passes ~no_inline ~no_clone
-    ~max_ops ~policy_text ~inline_mode ~dump_ir ~dump_asm ~dump_profile
-    ~dump_journal ~stats ~runner ~main =
-  let module P = Serve.Protocol in
+let try_daemon ~socket ~files options =
   let socket =
     match socket with Some s -> s | None -> Serve.Client.default_socket ()
   in
   if not (Serve.Client.probe socket) then
     Error (Printf.sprintf "no hlod daemon answering at %s" socket)
-  else
-    match Serve.Client.connect socket with
-    | Error msg -> Error msg
-    | Ok client ->
-      Fun.protect ~finally:(fun () -> Serve.Client.close client) @@ fun () ->
-      let modules =
-        List.map
-          (fun path -> (module_name_of_path path, read_file path))
-          files
-      in
-      let options =
-        { P.co_scope = Hlo.Config.scope_name scope; co_budget = budget;
-          co_passes = passes; co_inline = not no_inline;
-          co_clone = not no_clone; co_max_ops = max_ops;
-          co_policy = policy_text;
-          co_inline_mode = Policy.inline_mode_name inline_mode;
-          co_main = main;
-          co_runner =
-            (match runner with
-            | Run_none -> "none"
-            | Run_interp -> "interp"
-            | Run_sim -> "sim");
-          co_stats = stats; co_dump_ir = dump_ir;
-          co_dump_profile = dump_profile; co_dump_asm = dump_asm;
-          co_dump_journal = dump_journal }
-      in
-      (match Serve.Client.roundtrip client (P.Compile { modules; options }) with
-      | Error msg -> Error ("daemon request failed: " ^ msg)
-      | Ok (P.Compiled { outputs; _ }) ->
-        print_daemon_outputs outputs;
-        Ok (`Ok ())
-      | Ok (P.Failed { reason; outputs; _ }) ->
-        print_daemon_outputs outputs;
-        Ok (`Error (false, reason))
-      | Ok (P.Rejected rj) ->
-        Ok
-          (`Error
-            (false,
-             Printf.sprintf "daemon rejected the request (%s): %s"
-               rj.P.rj_kind rj.P.rj_reason))
-      | Ok _ -> Error "daemon sent an unexpected response")
+  else Cli.daemon_compile ~socket ~files options
 
-let compile_and_run files scope budget passes no_inline no_clone max_ops
-    inline_mode region_cold_fraction
-    policy_file dump_policy dump_ir dump_asm dump_profile dump_journal stats
-    runner main trace trace_format telemetry_summary summary_cache
-    compile_only link_isoms incremental isom_dir output write_profiles daemon
-    daemon_socket =
-  (* The policy (when given) overlays the tuned knobs — budget, staging,
-     pass limit, heuristics thresholds, stage order — on top of the
-     flag-derived configuration, so `--policy` wins over `--budget` and
-     `--passes`.  Scope and transform switches stay with the flags. *)
-  match
-    match policy_file with
-    | None -> Ok None
-    | Some path -> (
-      match Policy.load ~path with
-      | Ok (Some p) -> Ok (Some p)
-      | Ok None -> Error (Printf.sprintf "policy file %s does not exist" path)
-      | Error msg -> Error msg)
-  with
-  | Error msg -> `Error (false, msg)
-  | Ok policy_opt ->
-  let config =
-    let base =
-      Hlo.Config.with_scope
-        { Hlo.Config.default with
-          Hlo.Config.budget_percent = budget; pass_limit = passes;
-          enable_inlining = not no_inline; enable_cloning = not no_clone;
-          max_operations = max_ops; inline_mode;
-          region_cold_fraction }
-        scope
-    in
-    match policy_opt with
-    | None -> base
-    | Some p -> Hlo.Config.of_policy ~base p
-  in
+let compile_and_run files config (opts : P.compile_options) dump_policy trace
+    trace_format telemetry_summary summary_cache compile_only link_isoms
+    incremental isom_dir output write_profiles daemon daemon_socket =
+  let stats = opts.P.co_stats in
   if dump_policy then begin
     print_string (Policy.to_string (Hlo.Config.to_policy config));
     `Ok ()
@@ -180,16 +89,12 @@ let compile_and_run files scope budget passes no_inline no_clone max_ops
   | Ok mode ->
   (* Daemon routing: whole-program compiles whose only side effects are
      the printed outputs can be served by a running hlod — the daemon
-     renders through the same code, so the bytes are identical.  Modes
-     that write files (isom objects, traces, profile fragments, the
-     summary cache) stay in-process. *)
+     runs the same pipeline, so the bytes are identical.  Modes that
+     write files (isom objects, traces, profile fragments, the summary
+     cache) stay in-process. *)
   let daemon_eligible =
     mode = Whole && trace = None && (not telemetry_summary)
-    && summary_cache = None && (not write_profiles)
-    (* The bare --region-cold-fraction flag has no wire slot (a policy
-       file carries it fine); a non-default value compiles in-process. *)
-    && region_cold_fraction
-       = Hlo.Config.default.Hlo.Config.region_cold_fraction
+    && summary_cache = None && not write_profiles
   in
   let daemon_verdict =
     match daemon with
@@ -203,11 +108,8 @@ let compile_and_run files scope budget passes no_inline no_clone max_ops
       else `In_process
     | Daemon_auto | Daemon_require -> (
       match
-        try_daemon ~socket:daemon_socket ~files ~scope ~budget ~passes
-          ~no_inline ~no_clone ~max_ops
-          ~policy_text:(Option.map Policy.to_string policy_opt)
-          ~inline_mode ~dump_ir ~dump_asm ~dump_profile ~dump_journal ~stats
-          ~runner ~main
+        try_daemon ~socket:daemon_socket ~files
+          (P.options_of_config ~base:opts config)
       with
       | Ok result -> `Served result
       | Error msg ->
@@ -239,7 +141,7 @@ let compile_and_run files scope budget passes no_inline no_clone max_ops
      (the decision journal needs one too); export/summarize even if the
      compile or the run traps. *)
   let collector =
-    if trace <> None || telemetry_summary || dump_journal then begin
+    if trace <> None || telemetry_summary || opts.P.co_dump_journal then begin
       let c = Telemetry.Collector.create () in
       Telemetry.Collector.install c;
       Some c
@@ -266,7 +168,10 @@ let compile_and_run files scope budget passes no_inline no_clone max_ops
       if telemetry_summary then Fmt.pr "%a@." Telemetry.Summary.pp c
   in
   Fun.protect ~finally:finish_telemetry @@ fun () ->
-  try
+  let emit name text = Cli.print_piece (name, text) in
+  let main = opts.P.co_main in
+  let compiled =
+    Serve.Pipeline.guard ~emit @@ fun () ->
     match mode with
     | Compile_only ->
       let inputs = classify_inputs files in
@@ -281,7 +186,7 @@ let compile_and_run files scope budget passes no_inline no_clone max_ops
         `Error (false, "-o requires exactly one source module")
       else begin
         let isoms, diags = Isom.Build.compile_inputs (List.map snd inputs) in
-        prerr_string (Serve.Render.diag diags);
+        emit "diag" (Serve.Render.diag diags);
         List.iter2
           (fun (path, input) isom ->
             match input with
@@ -299,21 +204,18 @@ let compile_and_run files scope budget passes no_inline no_clone max_ops
         `Ok ()
       end
     | (Whole | Link_isoms | Incremental) as mode ->
+    let sources () =
+      List.map
+        (fun path ->
+          Minic.Compile.source ~module_name:(Cli.module_name_of_path path)
+            (Cli.read_file path))
+        files
+    in
     let program, diags, link_info =
       match mode with
       | Compile_only -> assert false
       | Whole ->
-        let sources =
-          List.map
-            (fun path ->
-              Minic.Compile.source ~module_name:(module_name_of_path path)
-                (read_file path))
-            files
-        in
-        let program, diags =
-          Telemetry.Collector.with_span "minic.compile" (fun () ->
-              Minic.Compile.compile_program ~main sources)
-        in
+        let program, diags = Serve.Pipeline.front_end ~main (sources ()) in
         (program, diags, None)
       | Link_isoms ->
         let inputs = classify_inputs files in
@@ -332,15 +234,8 @@ let compile_and_run files scope budget passes no_inline no_clone max_ops
         in
         (program, diags, Some (maps, paired, seed))
       | Incremental ->
-        let sources =
-          List.map
-            (fun path ->
-              Minic.Compile.source ~module_name:(module_name_of_path path)
-                (read_file path))
-            files
-        in
         let isoms, diags, st =
-          Isom.Build.compile_incremental ~dir:isom_dir sources
+          Isom.Build.compile_incremental ~dir:isom_dir (sources ())
         in
         if stats then begin
           Fmt.pr "[isom] reused=%d recompiled=%d@."
@@ -361,153 +256,43 @@ let compile_and_run files scope budget passes no_inline no_clone max_ops
         in
         (program, diags, Some (maps, paired, seed))
     in
-    prerr_string (Serve.Render.diag diags);
-    let seed_profile =
-      match link_info with Some (_, _, s) -> s | None -> None
+    (* Every isom carried a fragment from an earlier training run over
+       these exact module bodies; merging them reproduces that
+       profile, so the pipeline skips retraining. *)
+    let seed = Option.bind link_info (fun (_, _, s) -> s) in
+    let on_profile source profile =
+      if stats && source = Serve.Pipeline.Seeded then
+        Fmt.pr "[isom] profile seeded from module fragments@.";
+      match link_info with
+      | Some (maps, paired, _) when write_profiles -> (
+        if source <> Serve.Pipeline.Trained then begin
+          if stats then Fmt.pr "[isom] profile fragments unchanged@."
+        end
+        else
+          match Isom.Build.write_fragments paired ~maps ~profile with
+          | Ok () ->
+            if stats then
+              Fmt.pr "[isom] wrote %d profile fragments@." (List.length paired)
+          | Error msg ->
+            Fmt.epr "hloc: cannot write profile fragments: %s@." msg)
+      | Some _ -> ()
+      | None ->
+        if write_profiles then
+          Fmt.epr "hloc: ignoring --write-profiles (whole-program mode)@."
     in
-    let profile, trained =
-      if config.Hlo.Config.use_profile then
-        match seed_profile with
-        | Some p ->
-          (* Every isom carried a fragment from an earlier training
-             run over these exact module bodies; merging them
-             reproduces that profile, so skip retraining. *)
-          if stats then
-            Fmt.pr "[isom] profile seeded from module fragments@.";
-          (p, false)
-        | None ->
-          let r = Interp.train program in
-          if stats then print_string (Serve.Render.train_line r);
-          (r.Interp.profile, true)
-      else (Ucode.Profile.empty, false)
-    in
-    (match link_info with
-    | Some (maps, paired, _) when write_profiles ->
-      if not (config.Hlo.Config.use_profile && trained) then begin
-        if stats then Fmt.pr "[isom] profile fragments unchanged@."
-      end
-      else (
-        match Isom.Build.write_fragments paired ~maps ~profile with
-        | Ok () ->
-          if stats then
-            Fmt.pr "[isom] wrote %d profile fragments@." (List.length paired)
-        | Error msg ->
-          Fmt.epr "hloc: cannot write profile fragments: %s@." msg)
-    | Some _ -> ()
-    | None ->
-      if write_profiles then
-        Fmt.epr "hloc: ignoring --write-profiles (whole-program mode)@.");
-    if dump_profile then print_string (Serve.Render.profile profile);
-    let result = Hlo.Driver.run ~config ~profile program in
-    let optimized = result.Hlo.Driver.program in
-    if stats then
-      print_string (Serve.Render.report_line result.Hlo.Driver.report);
-    if dump_ir then print_string (Serve.Render.ir optimized);
-    if dump_asm then print_string (Serve.Render.asm optimized);
-    if dump_journal then
-      print_string
-        (Serve.Render.journal
-           (match collector with
-           | Some c -> Telemetry.Collector.decisions c
-           | None -> []));
-    (match runner with
-    | Run_none -> ()
-    | Run_interp ->
-      let r = Interp.run optimized in
-      print_string r.Interp.output;
-      if stats then print_string (Serve.Render.interp_stats_line r)
-    | Run_sim ->
-      let r = Machine.Sim.run_program optimized in
-      print_string r.Machine.Sim.output;
-      if stats then print_string (Serve.Render.sim_stats_line r));
+    Serve.Pipeline.run ~config ~runner:opts.P.co_runner ~want:(P.wants opts)
+      ~emit ?seed ~on_profile program diags;
     `Ok ()
-  with
-  | Minic.Diag.Compile_error diags ->
-    prerr_string (Serve.Render.diag diags);
-    `Error (false, "compilation failed")
-  | Sys_error msg -> `Error (false, msg)
-  | Ucode.Linker.Link_error msg -> `Error (false, "link error: " ^ msg)
-  | Interp.Trap (t, where) ->
-    `Error (false, Printf.sprintf "trap in %s: %s" where (Interp.trap_message t))
-  | Machine.Sim.Trap (t, pc) ->
-    `Error
-      (false, Printf.sprintf "machine trap at %d: %s" pc (Machine.Sim.trap_message t))
+  in
+  match compiled with
+  | Ok result -> result
+  | Error (_, reason) -> `Error (false, reason)
 
 let files =
   Arg.(value & pos_all file [] & info [] ~docv:"FILE"
          ~doc:"MiniC source modules ($(b,.mc)) and/or isom object files \
                ($(b,.isom)); the module name is the file basename.  \
                Required except with $(b,--dump-policy).")
-
-let scope =
-  let parse = function
-    | "base" -> Ok Hlo.Config.Base
-    | "c" -> Ok Hlo.Config.C
-    | "p" -> Ok Hlo.Config.P
-    | "cp" -> Ok Hlo.Config.CP
-    | s -> Error (`Msg ("unknown scope " ^ s))
-  in
-  let print ppf s = Fmt.string ppf (Hlo.Config.scope_name s) in
-  Arg.(value
-       & opt (conv (parse, print)) Hlo.Config.CP
-       & info [ "scope" ] ~docv:"SCOPE"
-           ~doc:"Optimization scope: $(b,base) (per-module), $(b,c) \
-                 (cross-module), $(b,p) (profile feedback), $(b,cp) (both).")
-
-let budget =
-  Arg.(value & opt float 100.0
-       & info [ "budget" ] ~docv:"PERCENT"
-           ~doc:"Compile-time growth budget as a percentage (paper default \
-                 100).")
-
-let passes =
-  Arg.(value & opt int 4
-       & info [ "passes" ] ~docv:"N" ~doc:"Maximum clone+inline pass pairs.")
-
-let no_inline =
-  Arg.(value & flag & info [ "no-inline" ] ~doc:"Disable inlining.")
-
-let no_clone = Arg.(value & flag & info [ "no-clone" ] ~doc:"Disable cloning.")
-
-let max_ops =
-  Arg.(value & opt (some int) None
-       & info [ "max-operations" ] ~docv:"N"
-           ~doc:"Artificially stop after N inline/clone operations (the \
-                 Figure 8 instrumentation).")
-
-let inline_mode =
-  let parse s =
-    match Policy.inline_mode_of_name s with
-    | Ok m -> Ok m
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf m = Fmt.string ppf (Policy.inline_mode_name m) in
-  Arg.(value
-       & opt (conv (parse, print)) Policy.Whole
-       & info [ "inline-mode" ] ~docv:"MODE"
-           ~doc:"What to do with a callee whose whole body busts the \
-                 budget: $(b,whole) rejects the site (the paper), \
-                 $(b,region) eagerly outlines its cold regions and \
-                 inlines the hot residue, $(b,demand) does the same \
-                 lazily from the ranked worklist.  $(b,--policy) \
-                 overrides this, like $(b,--budget).")
-
-let region_cold_fraction =
-  Arg.(value
-       & opt float Hlo.Config.default.Hlo.Config.region_cold_fraction
-       & info [ "region-cold-fraction" ] ~docv:"F"
-           ~doc:"Region/demand coldness cut: a block below $(docv) times \
-                 its routine's hottest block count is outlinable residue.")
-
-let policy_file =
-  Arg.(value & opt (some string) None
-       & info [ "policy" ] ~docv:"FILE"
-           ~doc:"Load a tuned HLO policy (written by $(b,hlo_tune) or \
-                 $(b,--dump-policy) plus $(b,Policy.save)) and apply its \
-                 knobs — budget, staging, pass limit, heuristic \
-                 thresholds, stage order — overriding $(b,--budget) and \
-                 $(b,--passes).  Scope and transform switches still come \
-                 from the flags.")
 
 let dump_policy =
   Arg.(value & flag
@@ -516,50 +301,6 @@ let dump_policy =
                  and exit without compiling.  Composes with the tuning \
                  flags and $(b,--policy), so it shows exactly what a \
                  compile with the same flags would use.")
-
-let dump_ir =
-  Arg.(value & flag & info [ "dump-ir" ] ~doc:"Print the optimized ucode.")
-
-let dump_asm =
-  Arg.(value & flag & info [ "dump-asm" ] ~doc:"Print the VR32 disassembly.")
-
-let dump_profile =
-  Arg.(value & flag
-       & info [ "dump-profile" ]
-           ~doc:"Print the training profile database (block and call-site \
-                 counts).")
-
-let dump_journal =
-  Arg.(value & flag
-       & info [ "dump-journal" ]
-           ~doc:"Print the optimizer decision journal: one line per \
-                 inline/clone decision, deterministic (no wall-clock), \
-                 identical whether the compile runs in-process or in a \
-                 daemon.")
-
-let stats =
-  Arg.(value & flag & info [ "stats" ] ~doc:"Print transformation and run statistics.")
-
-let runner =
-  let parse = function
-    | "none" -> Ok Run_none
-    | "interp" -> Ok Run_interp
-    | "sim" -> Ok Run_sim
-    | s -> Error (`Msg ("unknown runner " ^ s))
-  in
-  let print ppf = function
-    | Run_none -> Fmt.string ppf "none"
-    | Run_interp -> Fmt.string ppf "interp"
-    | Run_sim -> Fmt.string ppf "sim"
-  in
-  Arg.(value
-       & opt (conv (parse, print)) Run_sim
-       & info [ "run" ] ~docv:"ENGINE"
-           ~doc:"Execute the result: $(b,interp), $(b,sim) or $(b,none).")
-
-let entry_name =
-  Arg.(value & opt string "main"
-       & info [ "main" ] ~docv:"NAME" ~doc:"Entry routine.")
 
 let trace =
   Arg.(value & opt (some string) None
@@ -675,12 +416,8 @@ let cmd =
   let info = Cmd.info "hloc" ~version:"1.0" ~doc in
   Cmd.v info
     Term.(ret
-            (const compile_and_run $ files $ scope $ budget $ passes $ no_inline
-            $ no_clone $ max_ops $ inline_mode $ region_cold_fraction
-            $ policy_file $ dump_policy
-            $ dump_ir $ dump_asm $ dump_profile
-            $ dump_journal $ stats $ runner $ entry_name $ trace $ trace_format
-            $ telemetry_summary $ summary_cache $ compile_only
+            (const compile_and_run $ files $ Cli.config $ Cli.outputs
+            $ dump_policy $ trace $ trace_format $ telemetry_summary $ summary_cache $ compile_only
             $ link_isoms $ incremental $ isom_dir $ output $ write_profiles
             $ daemon $ daemon_socket))
 

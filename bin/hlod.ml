@@ -1,6 +1,6 @@
 (* hlod: the compile/optimize daemon.
 
-   Binds a Unix-domain socket and serves the hlod1 protocol: compile
+   Binds a Unix-domain socket and serves the hlod2 protocol: compile
    requests (bit-identical to `hloc` whole-program mode), stats, ping
    and graceful shutdown.  The process owns the cross-request summary
    cache and clone database, and a content-addressed artifact store,

@@ -188,11 +188,29 @@ grep -q '"memory_hits":1' "$tmp/serve-stats.json"
   --dump-ir --stats --dump-journal --run interp \
   --daemon require --daemon-socket "$sock" > "$tmp/serve-hloc.txt"
 diff -u "$tmp/serve-ref.txt" "$tmp/serve-hloc.txt"
+# A region-mode compile with a non-default coldness cut travels as
+# policy text: served by hlo_client and by hloc --daemon require, both
+# byte-identical to in-process hloc, and compiled once between them.
+region=(--inline-mode region --region-cold-fraction 0.3)
+"$hloc" examples/telemetry_util.mc examples/telemetry_main.mc \
+  --dump-ir --stats --dump-journal --run interp "${region[@]}" \
+  > "$tmp/region-ref.txt"
+"$hlo_client" compile \
+  examples/telemetry_util.mc examples/telemetry_main.mc \
+  --dump-ir --stats --dump-journal --run interp "${region[@]}" \
+  --socket "$sock" > "$tmp/region-client.txt"
+"$hloc" examples/telemetry_util.mc examples/telemetry_main.mc \
+  --dump-ir --stats --dump-journal --run interp "${region[@]}" \
+  --daemon require --daemon-socket "$sock" > "$tmp/region-hloc.txt"
+diff -u "$tmp/region-ref.txt" "$tmp/region-client.txt"
+diff -u "$tmp/region-ref.txt" "$tmp/region-hloc.txt"
+"$hlo_client" stats --socket "$sock" > "$tmp/region-stats.json"
+grep -q '"insertions":2' "$tmp/region-stats.json"  # one more compile
 "$hlo_client" shutdown --socket "$sock"
 wait "$hlod_pid"
 grep -q 'shut down' "$tmp/hlod.log"
 test ! -e "$sock"
-echo "daemon served twice (one compile), output identical, clean shutdown"
+echo "daemon served the default and region configs (one compile each), output identical, clean shutdown"
 
 echo "== serve load smoke (make bench-serve, --smoke) =="
 # Concurrent clients over a real socket; the binary exits nonzero if

@@ -102,6 +102,15 @@ type scope = Base | C | P | CP
 
 let scope_name = function Base -> "base" | C -> "c" | P -> "p" | CP -> "cp"
 
+(** The inverse of {!scope_name}: the one parser every surface (flags,
+    the daemon protocol) uses. *)
+let scope_of_name = function
+  | "base" -> Ok Base
+  | "c" -> Ok C
+  | "p" -> Ok P
+  | "cp" -> Ok CP
+  | s -> Error ("unknown scope " ^ s)
+
 let with_scope t = function
   | Base -> { t with cross_module = false; use_profile = false }
   | C -> { t with cross_module = true; use_profile = false }

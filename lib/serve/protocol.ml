@@ -5,7 +5,7 @@
 
 module J = Telemetry.Json
 
-let magic = "hlod1"
+let magic = "hlod2"
 let default_max_frame = 16 * 1024 * 1024
 
 type frame_error =
@@ -77,7 +77,6 @@ type compile_options = {
   co_clone : bool;
   co_max_ops : int option;
   co_policy : string option;
-  co_inline_mode : string;
   co_main : string;
   co_runner : string;
   co_stats : bool;
@@ -89,10 +88,52 @@ type compile_options = {
 
 let default_options =
   { co_scope = "cp"; co_budget = 100.0; co_passes = 4; co_inline = true;
-    co_clone = true; co_max_ops = None; co_policy = None;
-    co_inline_mode = "whole"; co_main = "main"; co_runner = "sim";
-    co_stats = false; co_dump_ir = false; co_dump_profile = false;
-    co_dump_asm = false; co_dump_journal = false }
+    co_clone = true; co_max_ops = None; co_policy = None; co_main = "main";
+    co_runner = "sim"; co_stats = false; co_dump_ir = false;
+    co_dump_profile = false; co_dump_asm = false; co_dump_journal = false }
+
+let ( let* ) r f = Result.bind r f
+
+let options_of_config ?(base = default_options) (c : Hlo.Config.t) =
+  { base with
+    co_scope = Hlo.Config.scope_name (Hlo.Config.scope_of c);
+    co_budget = c.Hlo.Config.budget_percent; co_passes = c.Hlo.Config.pass_limit;
+    co_inline = c.Hlo.Config.enable_inlining;
+    co_clone = c.Hlo.Config.enable_cloning;
+    co_max_ops = c.Hlo.Config.max_operations;
+    co_policy = Some (Policy.to_string (Hlo.Config.to_policy c)) }
+
+let config_of_options o =
+  let* scope = Hlo.Config.scope_of_name o.co_scope in
+  let base =
+    Hlo.Config.with_scope
+      { Hlo.Config.default with
+        Hlo.Config.budget_percent = o.co_budget; pass_limit = o.co_passes;
+        enable_inlining = o.co_inline; enable_cloning = o.co_clone;
+        max_operations = o.co_max_ops }
+      scope
+  in
+  match o.co_policy with
+  | None -> (
+    match Policy.validate (Hlo.Config.to_policy base) with
+    | Ok () -> Ok base
+    | Error msg -> Error ("bad budget or passes: " ^ msg))
+  | Some text -> (
+    match Policy.of_string text with
+    | Ok p -> Ok (Hlo.Config.of_policy ~base p)
+    | Error msg -> Error ("bad policy: " ^ msg))
+
+let resolve o =
+  if List.mem o.co_runner Pipeline.runners then config_of_options o
+  else Error ("unknown runner " ^ o.co_runner)
+
+let wants o = function
+  | "train" | "report" | "run_stats" -> o.co_stats
+  | "profile" -> o.co_dump_profile
+  | "ir" -> o.co_dump_ir
+  | "asm" -> o.co_dump_asm
+  | "journal" -> o.co_dump_journal
+  | _ -> true
 
 type request =
   | Compile of {
@@ -139,7 +180,6 @@ let options_to_json (o : compile_options) : J.t =
       ("max_ops", match o.co_max_ops with None -> J.Null | Some n -> J.Int n);
       ( "policy",
         match o.co_policy with None -> J.Null | Some s -> J.String s );
-      ("inline_mode", J.String o.co_inline_mode);
       ("main", J.String o.co_main); ("runner", J.String o.co_runner);
       ("stats", J.Bool o.co_stats); ("dump_ir", J.Bool o.co_dump_ir);
       ("dump_profile", J.Bool o.co_dump_profile);
@@ -204,43 +244,55 @@ let member_number key json = Option.bind (J.member key json) J.to_number
 let member_bool key json =
   match J.member key json with Some (J.Bool b) -> Some b | _ -> None
 
-let ( let* ) r f = Result.bind r f
-
 let require what = function
   | Some v -> Ok v
   | None -> Error ("missing or ill-typed field: " ^ what)
 
+(* An absent option takes its default; a present one of the wrong JSON
+   type is an error, never a silent default or a truncation.  The
+   decoded options must also resolve ({!resolve}), so an unknown scope
+   or runner and malformed policy text are rejected here too. *)
 let options_of_json json : (compile_options, string) result =
+  let field key typed default =
+    match J.member key json with
+    | None -> Ok default
+    | Some v -> (
+      match typed v with
+      | Some x -> Ok x
+      | None -> Error ("ill-typed field: " ^ key))
+  in
+  let str = function J.String s -> Some s | _ -> None in
+  let int = function J.Int n -> Some n | _ -> None in
+  let bool = function J.Bool b -> Some b | _ -> None in
+  let nullable typed = function
+    | J.Null -> Some None
+    | v -> Option.map Option.some (typed v)
+  in
   let d = default_options in
-  let str key dflt = Option.value ~default:dflt (member_string key json) in
-  let num key dflt = Option.value ~default:dflt (member_number key json) in
-  let flag key dflt = Option.value ~default:dflt (member_bool key json) in
-  let max_ops =
-    match J.member "max_ops" json with
-    | Some (J.Int n) -> Some n
-    | _ -> None
-  in
-  let o =
-    { co_scope = str "scope" d.co_scope; co_budget = num "budget" d.co_budget;
-      co_passes = int_of_float (num "passes" (float_of_int d.co_passes));
-      co_inline = flag "inline" d.co_inline;
-      co_clone = flag "clone" d.co_clone; co_max_ops = max_ops;
-      co_policy = member_string "policy" json;
-      co_inline_mode = str "inline_mode" d.co_inline_mode;
-      co_main = str "main" d.co_main; co_runner = str "runner" d.co_runner;
-      co_stats = flag "stats" d.co_stats;
-      co_dump_ir = flag "dump_ir" d.co_dump_ir;
-      co_dump_profile = flag "dump_profile" d.co_dump_profile;
-      co_dump_asm = flag "dump_asm" d.co_dump_asm;
-      co_dump_journal = flag "dump_journal" d.co_dump_journal }
-  in
-  if not (List.mem o.co_scope [ "base"; "c"; "p"; "cp" ]) then
-    Error ("unknown scope " ^ o.co_scope)
-  else if not (List.mem o.co_runner [ "none"; "interp"; "sim" ]) then
-    Error ("unknown runner " ^ o.co_runner)
-  else if not (List.mem o.co_inline_mode [ "whole"; "region"; "demand" ]) then
-    Error ("unknown inline mode " ^ o.co_inline_mode)
-  else Ok o
+  match json with
+  | J.Assoc _ ->
+    let* co_scope = field "scope" str d.co_scope in
+    let* co_budget = field "budget" J.to_number d.co_budget in
+    let* co_passes = field "passes" int d.co_passes in
+    let* co_inline = field "inline" bool d.co_inline in
+    let* co_clone = field "clone" bool d.co_clone in
+    let* co_max_ops = field "max_ops" (nullable int) d.co_max_ops in
+    let* co_policy = field "policy" (nullable str) d.co_policy in
+    let* co_main = field "main" str d.co_main in
+    let* co_runner = field "runner" str d.co_runner in
+    let* co_stats = field "stats" bool d.co_stats in
+    let* co_dump_ir = field "dump_ir" bool d.co_dump_ir in
+    let* co_dump_profile = field "dump_profile" bool d.co_dump_profile in
+    let* co_dump_asm = field "dump_asm" bool d.co_dump_asm in
+    let* co_dump_journal = field "dump_journal" bool d.co_dump_journal in
+    let o =
+      { co_scope; co_budget; co_passes; co_inline; co_clone; co_max_ops;
+        co_policy; co_main; co_runner; co_stats; co_dump_ir;
+        co_dump_profile; co_dump_asm; co_dump_journal }
+    in
+    let* _ = resolve o in
+    Ok o
+  | _ -> Error "ill-typed field: options"
 
 let module_of_json json =
   let* name = require "module name" (member_string "name" json) in

@@ -2,7 +2,7 @@
 
     A frame is one ASCII header line
 
-      hlod1 <payload-length>\n
+      hlod2 <payload-length>\n
 
     followed by exactly [payload-length] bytes of JSON.  The magic
     carries the protocol version (a server and client from different
@@ -17,7 +17,10 @@
     serving. *)
 
 val magic : string
-(** ["hlod1"] — bumped when the frame or message format changes. *)
+(** ["hlod2"] — bumped when the frame or message format changes.
+    [hlod2] dropped the [inline_mode] option: the policy text carries
+    it, and a lenient decoder would otherwise compile an old client's
+    region request as whole. *)
 
 val default_max_frame : int
 (** Default cap on payload bytes (16 MiB). *)
@@ -39,11 +42,17 @@ val write_frame : out_channel -> string -> unit
 (** {1 Messages} *)
 
 (** Everything about a compile the daemon needs to reproduce `hloc`
-    bit-for-bit: the flag set mirrors `hloc`'s whole-program mode. *)
+    bit-for-bit: the flag set mirrors `hloc`'s whole-program mode.
+
+    The knobs travel as {!options_of_config} writes them: scope,
+    transform switches, [max_ops] and the resolved policy as canonical
+    text.  [co_budget]/[co_passes] are read only when no policy text
+    is sent — the fallback for clients that build these options field
+    by field. *)
 type compile_options = {
   co_scope : string;  (** "base" | "c" | "p" | "cp" *)
-  co_budget : float;
-  co_passes : int;
+  co_budget : float;  (** fallback when [co_policy = None] *)
+  co_passes : int;  (** fallback when [co_policy = None] *)
   co_inline : bool;
   co_clone : bool;
   co_max_ops : int option;
@@ -51,11 +60,8 @@ type compile_options = {
       (** canonical policy text ({!Policy.to_string}); overlays the
           tuned knobs on top of the flag-derived configuration, exactly
           as `hloc --policy` does in-process *)
-  co_inline_mode : string;
-      (** "whole" | "region" | "demand"; absent on the wire means
-          "whole", so pre-mode clients interoperate unchanged *)
   co_main : string;
-  co_runner : string;  (** "none" | "interp" | "sim" *)
+  co_runner : string;  (** one of {!Pipeline.runners} *)
   co_stats : bool;
   co_dump_ir : bool;
   co_dump_profile : bool;
@@ -64,6 +70,31 @@ type compile_options = {
 }
 
 val default_options : compile_options
+
+(** {2 The knob codec}
+
+    [config_of_options (options_of_config c) = Ok c] for every
+    configuration whose fields outside the scope, transform switches,
+    [max_operations] and the policy are {!Hlo.Config.default}'s. *)
+
+(** The wire form of [c]'s knobs, on top of [base]'s output selection
+    (default: {!default_options}). *)
+val options_of_config :
+  ?base:compile_options -> Hlo.Config.t -> compile_options
+
+(** The configuration the options resolve to: the flag fields, then
+    the policy text overlaid, as `hloc --policy` does.  [Error] names
+    an unknown scope, malformed policy text or, with no policy text,
+    a [co_budget]/[co_passes] outside the policy ranges. *)
+val config_of_options : compile_options -> (Hlo.Config.t, string) result
+
+(** {!config_of_options}, also rejecting an unknown runner: the check
+    every decoded request passes. *)
+val resolve : compile_options -> (Hlo.Config.t, string) result
+
+(** Whether a client with these options prints the output piece
+    [name] (see {!Pipeline}). *)
+val wants : compile_options -> string -> bool
 
 type request =
   | Compile of {
@@ -105,7 +136,13 @@ type response =
   | Shutting_down
 
 val request_to_json : request -> Telemetry.Json.t
+
+(** Total: an absent option takes its {!default_options} value; an
+    option of the wrong JSON type is [Error "ill-typed field: <name>"]
+    (a non-object [options] too), and options that do not {!resolve}
+    are an error. *)
 val request_of_json : Telemetry.Json.t -> (request, string) result
+
 val response_to_json : response -> Telemetry.Json.t
 val response_of_json : Telemetry.Json.t -> (response, string) result
 

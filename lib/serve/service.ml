@@ -69,184 +69,68 @@ let count t name = Telemetry.Collector.count_in t.telem name 1.0
 let gauge t name v = Telemetry.Collector.gauge_in t.telem name v
 
 (* ------------------------------------------------------------------ *)
-(* Option plumbing.                                                    *)
+(* The compile itself.                                                 *)
 
-let scope_of_string = function
-  | "base" -> Hlo.Config.Base
-  | "c" -> Hlo.Config.C
-  | "p" -> Hlo.Config.P
-  | "cp" -> Hlo.Config.CP
-  | s -> invalid_arg ("Service: unknown scope " ^ s)
-
-let inline_mode_of_string s =
-  match Policy.inline_mode_of_name s with
-  | Ok m -> m
-  | Error msg -> invalid_arg ("Service: " ^ msg)
-
-let hlo_config_of (o : P.compile_options) =
-  Hlo.Config.with_scope
-    { Hlo.Config.default with
-      Hlo.Config.budget_percent = o.P.co_budget;
-      pass_limit = o.P.co_passes; enable_inlining = o.P.co_inline;
-      enable_cloning = o.P.co_clone; max_operations = o.P.co_max_ops;
-      inline_mode = inline_mode_of_string o.P.co_inline_mode }
-    (scope_of_string o.P.co_scope)
-
-(* Everything that changes the computed output *superset* — and nothing
-   that only changes which pieces a client asks to see (stats,
-   dump_ir, dump_journal are selection, not computation).  The policy
-   enters as its canonical hash, so a tuned compile and a default one
-   of the same sources can never alias in the artifact store. *)
-let options_canon (o : P.compile_options) =
-  let policy =
-    match o.P.co_policy with
-    | None -> "-"
-    | Some text -> (
-      match Policy.of_string text with
-      | Ok p -> Policy.hash p
-      | Error _ -> "bad:" ^ Digest.to_hex (Digest.string text))
-  in
-  Printf.sprintf
-    "scope=%s;budget=%h;passes=%d;inline=%b;clone=%b;max_ops=%s;mode=%s;\
-     main=%s;runner=%s;profile=%b;asm=%b;policy=%s"
-    o.P.co_scope o.P.co_budget o.P.co_passes o.P.co_inline o.P.co_clone
-    (match o.P.co_max_ops with None -> "-" | Some n -> string_of_int n)
-    o.P.co_inline_mode o.P.co_main o.P.co_runner o.P.co_dump_profile
-    o.P.co_dump_asm policy
-
-(* The pieces of the superset a given client printout wants, in
-   `hloc`'s print order.  [diag] always rides along (it goes to
-   stderr). *)
-let select_outputs (superset : (string * string) list)
-    (o : P.compile_options) : (string * string) list =
-  let piece name = List.assoc_opt name superset in
-  let want =
-    [ ("diag", true);
-      ("train", o.P.co_stats);
-      ("profile", o.P.co_dump_profile);
-      ("report", o.P.co_stats);
-      ("ir", o.P.co_dump_ir);
-      ("asm", o.P.co_dump_asm);
-      ("journal", o.P.co_dump_journal);
-      ("run_output", true);
-      ("run_stats", o.P.co_stats) ]
-  in
-  List.filter_map
-    (fun (name, wanted) ->
-      if wanted then Option.map (fun text -> (name, text)) (piece name)
-      else None)
-    want
-
-(* ------------------------------------------------------------------ *)
-(* The compile itself — `hloc`'s whole-program mode, rendered through
-   {!Render} so the bytes match the CLI exactly.                       *)
-
-exception
-  Compile_failed of {
-    kind : string;
-    reason : string;
-    outputs : (string * string) list;
-  }
-
-let run_pipeline (modules : (string * string) list) (o : P.compile_options) :
-    (string * string) list =
-  let produced = ref [] in
-  let emit name text = produced := (name, text) :: !produced in
-  let fail kind reason =
-    raise (Compile_failed { kind; reason; outputs = List.rev !produced })
-  in
-  try
-    (* A malformed policy is the client's mistake; reject it before
-       spending any compile work. *)
-    let policy =
-      match o.P.co_policy with
-      | None -> None
-      | Some text -> (
-        match Policy.of_string text with
-        | Ok p -> Some p
-        | Error msg -> fail "bad_request" ("bad policy: " ^ msg))
-    in
-    let sources =
-      List.map
-        (fun (name, text) -> Minic.Compile.source ~module_name:name text)
-        modules
-    in
-    let program, diags =
-      Telemetry.Collector.with_span "minic.compile" (fun () ->
-          Minic.Compile.compile_program ~main:o.P.co_main sources)
-    in
-    emit "diag" (Render.diag diags);
-    let config =
-      let base = hlo_config_of o in
-      match policy with
-      | None -> base
-      | Some p -> Hlo.Config.of_policy ~base p
-    in
-    let profile =
-      if config.Hlo.Config.use_profile then begin
-        let r = Interp.train program in
-        emit "train" (Render.train_line r);
-        r.Interp.profile
-      end
-      else Ucode.Profile.empty
-    in
-    if o.P.co_dump_profile then emit "profile" (Render.profile profile);
-    let result = Hlo.Driver.run ~config ~profile program in
-    let optimized = result.Hlo.Driver.program in
-    emit "report" (Render.report_line result.Hlo.Driver.report);
-    emit "ir" (Render.ir optimized);
-    if o.P.co_dump_asm then emit "asm" (Render.asm optimized);
-    (match Telemetry.Collector.active () with
-    | Some c -> emit "journal" (Render.journal (Telemetry.Collector.decisions c))
-    | None -> emit "journal" "");
-    (match o.P.co_runner with
-    | "none" -> ()
-    | "interp" ->
-      let r = Interp.run optimized in
-      emit "run_output" r.Interp.output;
-      emit "run_stats" (Render.interp_stats_line r)
-    | "sim" ->
-      let r = Machine.Sim.run_program optimized in
-      emit "run_output" r.Machine.Sim.output;
-      emit "run_stats" (Render.sim_stats_line r)
-    | r -> fail "bad_request" ("unknown runner " ^ r));
-    List.rev !produced
-  with
-  | Compile_failed _ as e -> raise e
-  | Minic.Diag.Compile_error diags ->
-    raise
-      (Compile_failed
-         { kind = "compile_error"; reason = "compilation failed";
-           outputs = [ ("diag", Render.diag diags) ] })
-  | Ucode.Linker.Link_error msg -> fail "compile_error" ("link error: " ^ msg)
-  | Sys_error msg -> fail "compile_error" msg
-  | Interp.Trap (trap, where) ->
-    fail "trap"
-      (Printf.sprintf "trap in %s: %s" where (Interp.trap_message trap))
-  | Machine.Sim.Trap (trap, pc) ->
-    fail "trap"
-      (Printf.sprintf "machine trap at %d: %s" pc
-         (Machine.Sim.trap_message trap))
-  | Hlo.Driver.Invalid_ir { stage; errors } ->
-    fail "internal" (Printf.sprintf "invalid IR after %s: %s" stage errors)
+(* The content address of a request: its sources plus everything that
+   changes the computed output *superset*, taken from the resolved
+   configuration — and nothing that only changes which pieces a client
+   asks to see (stats, dump_ir, dump_journal are selection, not
+   computation).  The policy enters as its canonical hash, so a tuned
+   compile and a default one of the same sources can never alias, and
+   the same knobs spelt with or without policy text share one
+   artifact. *)
+let artifact_key modules (c : Hlo.Config.t) (o : P.compile_options) =
+  Artifacts.key ~modules
+    ~options_canon:
+      (Printf.sprintf
+         "scope=%s;inline=%b;clone=%b;max_ops=%s;policy=%s;main=%s;\
+          runner=%s;profile=%b;asm=%b"
+         (Hlo.Config.scope_name (Hlo.Config.scope_of c))
+         c.Hlo.Config.enable_inlining c.Hlo.Config.enable_cloning
+         (match c.Hlo.Config.max_operations with
+         | None -> "-"
+         | Some n -> string_of_int n)
+         (Policy.hash (Hlo.Config.to_policy c))
+         o.P.co_main o.P.co_runner o.P.co_dump_profile o.P.co_dump_asm)
 
 (* Run the pipeline under the compile lock with a private collector
    installed, so the decision journal belongs to exactly this
    request.  The previously ambient collector (if any — tests install
-   their own) is restored afterwards. *)
-let compile_serialized t modules o =
+   their own) is restored afterwards.  The result is the superset of
+   pieces any client of this artifact may ask for: everything but the
+   two costly opt-in renders. *)
+let compile_serialized t modules config (o : P.compile_options) =
   Mutex.lock t.compile_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.compile_lock) @@ fun () ->
   Telemetry.Collector.with_span_in t.telem "serve.compile" @@ fun () ->
   let prev = Telemetry.Collector.active () in
   let c = Telemetry.Collector.create () in
   Telemetry.Collector.install c;
-  Fun.protect
-    ~finally:(fun () ->
+  Fun.protect ~finally:(fun () ->
       match prev with
       | Some p -> Telemetry.Collector.install p
       | None -> Telemetry.Collector.uninstall ())
-    (fun () -> run_pipeline modules o)
+  @@ fun () ->
+  let produced = ref [] in
+  let emit name text = produced := (name, text) :: !produced in
+  let want = function
+    | "profile" -> o.P.co_dump_profile
+    | "asm" -> o.P.co_dump_asm
+    | _ -> true
+  in
+  match
+    Pipeline.guard ~emit (fun () ->
+        let program, diags =
+          Pipeline.front_end ~main:o.P.co_main
+            (List.map
+               (fun (name, text) -> Minic.Compile.source ~module_name:name text)
+               modules)
+        in
+        Pipeline.run ~config ~runner:o.P.co_runner ~want ~emit program diags)
+  with
+  | Ok () -> Ok (List.rev !produced)
+  | Error (kind, reason) ->
+    Error (P.Failed { kind; reason; outputs = List.rev !produced })
 
 (* ------------------------------------------------------------------ *)
 (* Request handling.                                                   *)
@@ -286,13 +170,16 @@ let resolve t key outcome =
     Condition.broadcast fl.resolved
 
 let handle_compile t modules (o : P.compile_options) : P.response =
+  match P.resolve o with
+  | Error reason -> P.Failed { kind = "bad_request"; reason; outputs = [] }
+  | Ok config ->
   let t0 = Telemetry.Clock.now_us () in
-  let key = Artifacts.key ~modules ~options_canon:(options_canon o) in
+  let key = artifact_key modules config o in
   let elapsed () = Telemetry.Clock.now_us () -. t0 in
   let compiled ~cache ~queued superset =
     P.Compiled
-      { outputs = select_outputs superset o; cache; key; queued;
-        elapsed_us = elapsed () }
+      { outputs = List.filter (fun (name, _) -> P.wants o name) superset;
+        cache; key; queued; elapsed_us = elapsed () }
   in
   match Artifacts.find t.artifacts key with
   | Some (superset, kind) ->
@@ -351,16 +238,15 @@ let handle_compile t modules (o : P.compile_options) : P.response =
         end;
         gauge t "serve.queue_depth"
           (float_of_int (Admission.snapshot t.admission).Admission.sn_waiting);
-        (match compile_serialized t modules o with
-        | superset ->
+        (match compile_serialized t modules config o with
+        | Ok superset ->
           count t "serve.compiled";
           Artifacts.add t.artifacts key superset;
           finish (Superset superset)
             (compiled ~cache:"miss" ~queued:ticket.Admission.tk_queued
                superset)
-        | exception Compile_failed { kind; reason; outputs } ->
+        | Error resp ->
           count t "serve.failed";
-          let resp = P.Failed { kind; reason; outputs } in
           finish (Failure resp) resp
         | exception e ->
           count t "serve.failed";

@@ -16,8 +16,8 @@
     + the compile itself, serialized under one lock: the telemetry
       collector is process-global, and serialization is what lets a
       private collector capture the per-request spans and decision
-      journal.  Results are rendered with {!Render} so
-      they are bit-identical to in-process `hloc`;
+      journal.  The compile is {!Pipeline.run}, the function
+      in-process `hloc` runs, so the bytes are identical;
     + the superset of output pieces is stored content-addressed, then
       the response selects the pieces this client asked for.
 

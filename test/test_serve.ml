@@ -92,21 +92,21 @@ let test_frame_roundtrip () =
 let test_frame_failures () =
   with_bytes "" (fun ic ->
       check_bool "empty stream is Closed" true (P.read_frame ic = Error P.Closed));
-  with_bytes "hlod1 12" (fun ic ->
+  with_bytes (P.magic ^ " 12") (fun ic ->
       check_bool "EOF inside header is Truncated" true
         (P.read_frame ic = Error P.Truncated));
-  with_bytes "hlod1 100\nshort" (fun ic ->
+  with_bytes (P.magic ^ " 100\nshort") (fun ic ->
       check_bool "EOF inside payload is Truncated" true
         (P.read_frame ic = Error P.Truncated));
   with_bytes "hlod9 4\nabcd" (fun ic ->
       match P.read_frame ic with
       | Error (P.Malformed _) -> ()
       | r -> Alcotest.failf "bad magic: %s" (frame_result r));
-  with_bytes "hlod1 many\n" (fun ic ->
+  with_bytes (P.magic ^ " many\n") (fun ic ->
       match P.read_frame ic with
       | Error (P.Malformed _) -> ()
       | r -> Alcotest.failf "unparsable length: %s" (frame_result r));
-  with_bytes "hlod1 -3\n" (fun ic ->
+  with_bytes (P.magic ^ " -3\n") (fun ic ->
       match P.read_frame ic with
       | Error (P.Malformed _) -> ()
       | r -> Alcotest.failf "negative length: %s" (frame_result r));
@@ -114,7 +114,7 @@ let test_frame_failures () =
       match P.read_frame ic with
       | Error (P.Malformed _) -> ()
       | r -> Alcotest.failf "unbounded header: %s" (frame_result r));
-  with_bytes "hlod1 2048\n" (fun ic ->
+  with_bytes (P.magic ^ " 2048\n") (fun ic ->
       match P.read_frame ~max_bytes:1024 ic with
       | Error (P.Oversized { announced = 2048; limit = 1024 }) -> ()
       | r -> Alcotest.failf "oversized: %s" (frame_result r))
@@ -157,6 +157,30 @@ let test_message_roundtrip () =
   (match P.request_of_json (J.Assoc [ ("op", J.String "compile") ]) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "compile without modules must not decode");
+  (* An ill-typed option is an error naming the field, never a silent
+     default or a truncation. *)
+  let compile_with options =
+    J.Assoc
+      [ ("op", J.String "compile");
+        ( "modules",
+          J.List
+            [ J.Assoc
+                [ ("name", J.String "m");
+                  ("source", J.String "func main() { return 0; }") ] ] );
+        ("options", options) ]
+  in
+  List.iter
+    (fun (field, value) ->
+      match P.request_of_json (compile_with (J.Assoc [ (field, value) ])) with
+      | Error msg ->
+        check_string ("ill-typed " ^ field) ("ill-typed field: " ^ field) msg
+      | Ok _ -> Alcotest.failf "ill-typed %s must not decode" field)
+    [ ("budget", J.String "50"); ("passes", J.Float 2.7);
+      ("max_ops", J.Float 5.0); ("stats", J.String "yes");
+      ("scope", J.Int 3); ("runner", J.Bool true); ("policy", J.Int 5) ];
+  (match P.request_of_json (compile_with (J.List [])) with
+  | Error msg -> check_string "non-object options" "ill-typed field: options" msg
+  | Ok _ -> Alcotest.fail "non-object options must not decode");
   match
     P.request_of_json
       (P.request_to_json
@@ -166,6 +190,46 @@ let test_message_roundtrip () =
   with
   | Ok _ -> ()
   | Error msg -> Alcotest.fail msg
+
+(* [config_of_options] inverts [options_of_config] on every knob the
+   wire carries: sampled policies x scopes x transform switches x the
+   Figure 8 operation limit. *)
+let test_knob_codec_roundtrip () =
+  let over_the_wire options =
+    match
+      P.request_of_json
+        (P.request_to_json (P.Compile { modules = sample_modules; options }))
+    with
+    | Ok (P.Compile { options; _ }) -> options
+    | Ok _ -> Alcotest.fail "not a compile"
+    | Error msg -> Alcotest.fail msg
+  in
+  let st = Random.State.make [| 13 |] in
+  for _ = 1 to 200 do
+    let p = Policy.Space.sample st in
+    List.iter
+      (fun scope ->
+        List.iter
+          (fun (inline, clone) ->
+            List.iter
+              (fun max_operations ->
+                let c =
+                  Hlo.Config.with_transforms ~inline ~clone
+                    { (Hlo.Config.with_scope (Hlo.Config.of_policy p) scope)
+                      with Hlo.Config.max_operations }
+                in
+                match
+                  P.config_of_options (over_the_wire (P.options_of_config c))
+                with
+                | Ok c' ->
+                  if c' <> c then
+                    Alcotest.failf "round trip changed the config:\n%s"
+                      (Policy.to_string p)
+                | Error msg -> Alcotest.fail msg)
+              [ None; Some 7 ])
+          [ (true, true); (true, false); (false, true); (false, false) ])
+      Hlo.Config.[ Base; C; P; CP ]
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Admission control.                                                  *)
@@ -514,12 +578,16 @@ let test_service_policy () =
   | P.Failed { kind; _ } -> check_string "bad policy kind" "bad_request" kind
   | _ -> Alcotest.fail "expected Failed on a bad policy"
 
-(* The inline mode rides the request like a policy does: absent on the
-   wire it defaults to "whole" (old clients keep working and keep their
-   cache keys), unknown names are rejected at decode time, and each
-   mode lands in the artifact key so whole/region/demand compiles of
-   the same sources never alias. *)
+(* The inline mode rides the request inside the policy text: absent
+   on the wire it resolves to "whole", an unknown mode in the text is
+   rejected at decode time, and each mode lands in the artifact key so
+   whole/region/demand compiles of the same sources never alias. *)
 let test_service_inline_mode () =
+  let mode_of options =
+    match P.config_of_options options with
+    | Ok c -> Policy.inline_mode_name c.Hlo.Config.inline_mode
+    | Error msg -> Alcotest.fail msg
+  in
   (match
      P.request_of_json
        (J.Assoc
@@ -531,26 +599,37 @@ let test_service_inline_mode () =
                       ("source", J.String "func main() { return 0; }") ] ] ) ])
    with
   | Ok (P.Compile { options; _ }) ->
-    check_string "wire default is whole" "whole" options.P.co_inline_mode
+    check_string "wire default is whole" "whole" (mode_of options)
   | Ok _ -> Alcotest.fail "unexpected request"
   | Error msg -> Alcotest.fail msg);
+  let with_mode mode =
+    P.options_of_config ~base:full_options
+      { Hlo.Config.default with Hlo.Config.inline_mode = mode }
+  in
+  let eager =
+    let text = Option.get (with_mode Policy.Whole).P.co_policy in
+    let lines =
+      List.map
+        (fun l -> if l = "inline_mode whole" then "inline_mode eager" else l)
+        (String.split_on_char '\n' text)
+    in
+    { full_options with P.co_policy = Some (String.concat "\n" lines) }
+  in
   (match
      P.request_of_json
        (P.request_to_json
-          (P.Compile
-             { modules = sample_modules;
-               options = { full_options with P.co_inline_mode = "eager" } }))
+          (P.Compile { modules = sample_modules; options = eager }))
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown inline mode must not decode");
-  let region_opts = { full_options with P.co_inline_mode = "region" } in
+  let region_opts = with_mode Policy.Region in
   (match
      P.request_of_json
        (P.request_to_json
           (P.Compile { modules = sample_modules; options = region_opts }))
    with
   | Ok (P.Compile { options; _ }) ->
-    check_string "region round-trips" "region" options.P.co_inline_mode
+    check_string "region round-trips" "region" (mode_of options)
   | _ -> Alcotest.fail "region request must decode");
   let svc = S.create (service_config ()) in
   let whole = expect_compiled (S.handle svc (compile_req full_options)) in
@@ -560,12 +639,26 @@ let test_service_inline_mode () =
   let again = expect_compiled (S.handle svc (compile_req region_opts)) in
   check_string "same mode hits" "hit" again.cache;
   let demand =
-    expect_compiled
-      (S.handle svc
-         (compile_req { full_options with P.co_inline_mode = "demand" }))
+    expect_compiled (S.handle svc (compile_req (with_mode Policy.Demand)))
   in
   check_bool "demand distinct from both" true
     (demand.key <> whole.key && demand.key <> region.key)
+
+(* The key hashes the resolved configuration, not the wire spelling:
+   no policy text and the default policy's text are one artifact. *)
+let test_service_default_policy_shares_key () =
+  let svc = S.create (service_config ()) in
+  let implicit = expect_compiled (S.handle svc (compile_req full_options)) in
+  check_string "first compile is a miss" "miss" implicit.cache;
+  let explicit =
+    expect_compiled
+      (S.handle svc
+         (compile_req
+            { full_options with
+              P.co_policy = Some (Policy.to_string Policy.default) }))
+  in
+  check_string "default policy text is a hit" "hit" explicit.cache;
+  check_string "one key" implicit.key explicit.key
 
 let test_service_failure_parity () =
   let svc = S.create (service_config ()) in
@@ -728,7 +821,7 @@ let test_socket_oversized_frame_keeps_serving () =
   Unix.connect fd (Unix.ADDR_UNIX socket);
   let oc = Unix.out_channel_of_descr fd in
   let ic = Unix.in_channel_of_descr fd in
-  output_string oc "hlod1 1000000\n";
+  output_string oc (P.magic ^ " 1000000\n");
   flush oc;
   (match P.read_response ic with
   | Ok (P.Failed { kind = "bad_request"; reason; _ }) ->
@@ -745,7 +838,7 @@ let test_socket_disconnect_mid_request_keeps_serving () =
   Unix.connect fd (Unix.ADDR_UNIX socket);
   let oc = Unix.out_channel_of_descr fd in
   (* Announce a 100-byte payload, deliver 10, vanish. *)
-  output_string oc "hlod1 100\nonly this.";
+  output_string oc (P.magic ^ " 100\nonly this.");
   flush oc;
   Unix.close fd;
   Thread.delay 0.05;
@@ -911,7 +1004,9 @@ let () =
          Alcotest.test_case "frame failures are values" `Quick
            test_frame_failures;
          Alcotest.test_case "message JSON round-trip" `Quick
-           test_message_roundtrip ]);
+           test_message_roundtrip;
+         Alcotest.test_case "knob codec round-trip" `Quick
+           test_knob_codec_roundtrip ]);
       ("admission",
        [ Alcotest.test_case "budgets" `Quick test_admission_budgets;
          Alcotest.test_case "FIFO queue" `Quick test_admission_fifo_queue;
@@ -947,7 +1042,9 @@ let () =
          Alcotest.test_case "bit-identity on all 14 workloads" `Slow
            test_service_identity_all_workloads;
          Alcotest.test_case "lowering error is a compile error" `Quick
-           test_service_lowering_error ]);
+           test_service_lowering_error;
+         Alcotest.test_case "default policy text shares the key" `Quick
+           test_service_default_policy_shares_key ]);
       ("socket",
        [ Alcotest.test_case "two clients, one compile" `Quick
            test_socket_two_clients_one_compile;
