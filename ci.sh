@@ -32,6 +32,17 @@ dune exec bin/hloc.exe -- \
 grep -q '\[cache\] loaded' "$tmp/warm.txt"
 diff -u "$tmp/cold.txt" <(grep -v '^\[cache\]' "$tmp/warm.txt")
 echo "warm-cache output identical to cold"
+# A forged header whose payload length exceeds the file: the load must
+# be refused (not die allocating), and the compile must match cold.
+printf 'hloc-summary-cache 2 %s 4611686018427387000\n' \
+  "$(printf '%032d' 0)" > "$tmp/summaries.cache"
+dune exec bin/hloc.exe -- \
+  examples/telemetry_util.mc examples/telemetry_main.mc \
+  --dump-ir --stats --summary-cache "$tmp/summaries.cache" \
+  > "$tmp/forged.txt" 2> "$tmp/forged.err"
+grep -q 'ignoring summary cache' "$tmp/forged.err"
+diff -u "$tmp/cold.txt" "$tmp/forged.txt"
+echo "oversized cache header ignored, output identical to cold"
 
 echo "== isom separate compilation smoke (hloc -c / --link) =="
 # Whole-program reference, then per-module isoms, then a link of the

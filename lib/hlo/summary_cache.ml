@@ -43,28 +43,69 @@ let locked f =
 (* ------------------------------------------------------------------ *)
 (* The memo store.                                                     *)
 
-(* One flat build serves everything: the digest (the key), the
-   instruction count, and the cycle analysis — a single walk over the
-   block list instead of one per question. *)
+(** Labels of blocks on a CFG cycle: members of a multi-block strongly
+    connected component, plus self-loops. *)
+let cycles_of (r : U.routine) : U.Int_set.t =
+  let targets = Hashtbl.create 16 in
+  List.iter
+    (fun (b : U.block) ->
+      Hashtbl.replace targets b.U.b_id (U.term_targets b.U.b_term))
+    r.U.r_blocks;
+  let succs l = List.filter (Hashtbl.mem targets) (Hashtbl.find targets l) in
+  Ucode.Callgraph.tarjan
+    ~nodes:(List.map (fun (b : U.block) -> b.U.b_id) r.U.r_blocks)
+    ~succs
+  |> List.fold_left
+       (fun acc comp ->
+         match comp with
+         | [ l ] when not (List.mem l (succs l)) -> acc
+         | _ -> List.fold_left (fun acc l -> U.Int_set.add l acc) acc comp)
+       U.Int_set.empty
 
-let entry_of_flat fl : entry =
-  { e_size = Ucode.Flat.n_instrs fl; e_cycles = Ucode.Flat.cycles fl }
+(* Routines are immutable records and every transform builds a fresh
+   one, so physical identity *is* the version.  This memo maps a version
+   to its entry, so repeated queries against an unchanged body (the
+   inliner re-scoring a callee, each pass re-keying it) neither re-hash
+   nor re-walk it.  Keys are held weakly: an entry dies with its
+   routine version.  A memo hit stands for a table hit, because a
+   version is memoized only once its key is in the table and [clear]
+   empties both. *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = U.routine
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let memo : entry Memo.t = Memo.create 1024
 
 let find (r : U.routine) : entry =
-  let fl = Ucode.Flat.of_routine r in
-  let key = Ucode.Flat.body_hash fl in
   match locked (fun () ->
-      match Hashtbl.find_opt table key with
-      | Some e -> incr hits; Some e
-      | None -> incr misses; None)
+      let e = Memo.find_opt memo r in
+      if Option.is_some e then incr hits;
+      e)
   with
   | Some e -> e
   | None ->
-    (* Compute outside the lock: Tarjan on a big routine must not
-       serialize other domains' lookups.  A racing domain may compute
-       the same entry; both results are identical, either insert wins. *)
-    let e = entry_of_flat fl in
-    locked (fun () -> Hashtbl.replace table key e);
+    (* Hash and compute outside the lock: Tarjan on a big routine must
+       not serialize other domains' lookups.  A racing domain may
+       compute the same entry; both results are identical, either
+       insert wins. *)
+    let key = Ucode.Hash.routine_body_hash r in
+    let cached =
+      locked (fun () ->
+          match Hashtbl.find_opt table key with
+          | Some e -> incr hits; Some e
+          | None -> incr misses; None)
+    in
+    let e =
+      match cached with
+      | Some e -> e
+      | None -> { e_size = Ucode.Size.routine_size r; e_cycles = cycles_of r }
+    in
+    locked (fun () ->
+        if Option.is_none cached then Hashtbl.replace table key e;
+        Memo.replace memo r e);
     e
 
 let size r = (find r).e_size
@@ -80,7 +121,8 @@ let reset_stats () =
 
 let clear () =
   locked (fun () ->
-      Hashtbl.reset table; hits := 0; misses := 0; loaded := 0)
+      Hashtbl.reset table; Memo.reset memo; hits := 0; misses := 0;
+      loaded := 0)
 
 (* ------------------------------------------------------------------ *)
 (* On-disk store.                                                      *)

@@ -46,6 +46,12 @@ let load ~path ~magic ~version =
               Error
                 (Printf.sprintf "%s: %s version %d (this build reads %d)" path
                    magic v version)
+            | Some _, Some len
+              when len > Int64.(to_int (sub (In_channel.length ic)
+                                          (In_channel.pos ic))) ->
+              (* Before [really_input_string] allocates [len] bytes: a
+                 forged length must not size the buffer. *)
+              Error (path ^ ": truncated payload")
             | Some _, Some len when len >= 0 -> (
               match In_channel.really_input_string ic len with
               | None -> Error (path ^ ": truncated payload")

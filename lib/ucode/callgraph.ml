@@ -64,25 +64,18 @@ let outgoing t name =
   Option.value ~default:[] (String_map.find_opt name t.cg_callees)
 
 (* ------------------------------------------------------------------ *)
-(* Strongly connected components (Tarjan), used both to classify
-   recursive call sites and to produce the bottom-up order in which the
-   inliner schedules its work. *)
+(* Strongly connected components (Tarjan), used to classify recursive
+   call sites, to produce the bottom-up order in which the inliner
+   schedules its work, and (over blocks) for the loop heuristic's
+   cycle sets. *)
 
-let sccs (t : t) : string list list =
-  let p = t.cg_program in
+let tarjan ~(nodes : 'a list) ~(succs : 'a -> 'a list) : 'a list list =
   let index = Hashtbl.create 64 in
   let lowlink = Hashtbl.create 64 in
   let on_stack = Hashtbl.create 64 in
   let stack = ref [] in
   let counter = ref 0 in
   let result = ref [] in
-  let succs name =
-    outgoing t name
-    |> List.filter_map (fun e ->
-           match e.e_callee with
-           | Direct n when find_routine p n <> None -> Some n
-           | Direct _ | Indirect _ -> None)
-  in
   let rec strongconnect v =
     Hashtbl.replace index v !counter;
     Hashtbl.replace lowlink v !counter;
@@ -112,15 +105,23 @@ let sccs (t : t) : string list list =
       result := pop [] :: !result
     end
   in
-  List.iter
-    (fun (r : routine) ->
-      if not (Hashtbl.mem index r.r_name) then strongconnect r.r_name)
-    p.p_routines;
+  List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) nodes;
   (* Tarjan pops an SCC only after every SCC it can reach has been
      popped, so components are produced callees-first; [result]
      accumulates them in reverse, hence the final [List.rev] restores
      the bottom-up order. *)
   List.rev !result
+
+let sccs (t : t) : string list list =
+  let p = t.cg_program in
+  let succs name =
+    outgoing t name
+    |> List.filter_map (fun e ->
+           match e.e_callee with
+           | Direct n when find_routine p n <> None -> Some n
+           | Direct _ | Indirect _ -> None)
+  in
+  tarjan ~nodes:(List.map (fun (r : routine) -> r.r_name) p.p_routines) ~succs
 
 (** Routine names ordered bottom-up: a routine appears after the
     routines it (transitively) calls, up to cycles. *)

@@ -31,6 +31,13 @@ val incoming : t -> string -> edge list
 (** Outgoing edges of a routine (direct and indirect). *)
 val outgoing : t -> string -> edge list
 
+(** [tarjan ~nodes ~succs]: strongly connected components of the graph
+    reachable from [nodes] (visited in list order), bottom-up: every
+    component appears after the components it reaches.  Within a
+    component the root comes first.  Nodes are compared with
+    structural equality and hashing. *)
+val tarjan : nodes:'a list -> succs:('a -> 'a list) -> 'a list list
+
 (** Strongly connected components of the direct-call graph, bottom-up:
     every component appears after the components it calls into. *)
 val sccs : t -> string list list

@@ -5,7 +5,9 @@
     name, module, origin, linkage, and call-site ids.  Clones therefore
     hash like their originals, and hashes are stable across `hloc`
     runs even though site ids are assigned in program order.  Computed
-    over the packed {!Flat} view in one body walk. *)
+    in one walk over the block list.  The digest is persisted (isom
+    files, summary-cache files, clone-database keys), so its input
+    bytes are a file format: see the layout in hash.ml. *)
 
 type t = string
 (** An MD5 hex digest (32 lowercase hex characters). *)

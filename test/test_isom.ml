@@ -208,6 +208,13 @@ let test_store_fail_safe () =
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc (String.sub contents 0 (last - 3)));
   is_error "truncated" (Store.load ~path ~magic:"test-store" ~version:3);
+  (* A header length beyond the file's bytes is refused before any
+     allocation; this one is past the largest string OCaml can make. *)
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        ("test-store 3 " ^ Digest.to_hex (Digest.string "payload")
+       ^ " 4611686018427387000\n"));
+  is_error "oversized length" (Store.load ~path ~magic:"test-store" ~version:3);
   (* Garbage. *)
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc "not a store file at all");

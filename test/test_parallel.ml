@@ -330,18 +330,56 @@ let test_cache_roundtrip () =
   Alcotest.(check int) "no recomputation after load" 0
     s.Hlo.Summary_cache.misses
 
+(* A block is on a CFG cycle iff it is reachable from one of its own
+   successors: a plain search per block, independent of the Tarjan the
+   cache uses. *)
+let cycles_by_search (r : U.routine) =
+  let succs l = U.term_targets (U.find_block_exn r l).U.b_term in
+  let reaches_itself l =
+    let seen = Hashtbl.create 16 in
+    let rec go = function
+      | [] -> false
+      | x :: _ when x = l -> true
+      | x :: rest when Hashtbl.mem seen x -> go rest
+      | x :: rest -> Hashtbl.replace seen x (); go (succs x @ rest)
+    in
+    go (succs l)
+  in
+  List.filter_map
+    (fun (b : U.block) ->
+      if reaches_itself b.U.b_id then Some b.U.b_id else None)
+    r.U.r_blocks
+  |> List.sort compare
+
+(* Block 1 is a self-loop; blocks 0 and 2 are on no cycle. *)
+let self_loop_routine =
+  let block b_id b_term = { U.b_id; b_instrs = []; b_term } in
+  { U.r_name = "spin"; r_module = "m"; r_params = [ 0 ];
+    r_blocks =
+      [ block 0 (U.Jump 1); block 1 (U.Branch (0, 1, 2));
+        block 2 (U.Return None) ];
+    r_next_reg = 1; r_next_label = 3; r_attrs = U.default_attrs;
+    r_linkage = U.Exported; r_origin = U.From_source }
+
 let test_cache_agrees_with_direct_computation () =
   Hlo.Summary_cache.clear ();
-  let p = small_program () in
+  let suite_routines b =
+    let p, _ =
+      Minic.Compile.compile_program
+        (Workloads.Suite.sources b ~input:Workloads.Suite.Train)
+    in
+    p.U.p_routines
+  in
   List.iter
     (fun r ->
       Alcotest.(check int) "cached size = Size.routine_size"
         (Ucode.Size.routine_size r)
         (Hlo.Summary_cache.size r);
-      Alcotest.(check (list int)) "cached cycles = Summaries.blocks_in_cycles"
-        (U.Int_set.elements (Hlo.Summaries.blocks_in_cycles r))
+      Alcotest.(check (list int)) "cached cycles = blocks that reach themselves"
+        (cycles_by_search r)
         (U.Int_set.elements (Hlo.Summary_cache.cycles r)))
-    p.U.p_routines
+    ((self_loop_routine :: (small_program ()).U.p_routines)
+    @ List.concat_map suite_routines Workloads.Suite.all)
 
 let test_cache_rejects_garbage () =
   let path = Filename.temp_file "summary_cache" ".txt" in
@@ -352,6 +390,30 @@ let test_cache_rejects_garbage () =
   match Hlo.Summary_cache.load path with
   | Ok _ -> Alcotest.fail "expected a header error"
   | Error _ -> ()
+
+(* The per-version memo must not outlive [clear]: the same routine
+   records miss again and their bodies re-enter the table. *)
+let test_clear_forgets_versions () =
+  let routines = (small_program ()).U.p_routines in
+  let find_all () =
+    List.iter (fun r -> ignore (Hlo.Summary_cache.find r)) routines
+  in
+  let check what ~hits ~misses =
+    let s = Hlo.Summary_cache.stats () in
+    Alcotest.(check (pair int int))
+      what (hits, misses)
+      (s.Hlo.Summary_cache.hits, s.Hlo.Summary_cache.misses);
+    Alcotest.(check int)
+      (what ^ ": entries") (List.length routines) s.Hlo.Summary_cache.entries
+  in
+  Hlo.Summary_cache.clear ();
+  find_all ();
+  find_all ();
+  check "second lookups hit" ~hits:(List.length routines)
+    ~misses:(List.length routines);
+  Hlo.Summary_cache.clear ();
+  find_all ();
+  check "after clear, lookups miss" ~hits:0 ~misses:(List.length routines)
 
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
@@ -375,4 +437,6 @@ let () =
           Alcotest.test_case "agrees with direct computation" `Quick
             test_cache_agrees_with_direct_computation;
           Alcotest.test_case "rejects garbage files" `Quick
-            test_cache_rejects_garbage ] ) ]
+            test_cache_rejects_garbage;
+          Alcotest.test_case "clear forgets routine versions" `Quick
+            test_clear_forgets_versions ] ) ]

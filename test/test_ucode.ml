@@ -176,6 +176,68 @@ let test_copy_routine_origin () =
   check_bool "clone-of-clone origin" true (clone2.U.r_origin = U.Clone_of "orig")
 
 (* ------------------------------------------------------------------ *)
+(* Body digest layout.                                                 *)
+
+(* [Hash.routine_body_hash] is persisted (isom body hashes, summary-cache
+   files, clone-database keys), so these hex values pin its byte layout:
+   a change here invalidates every file written before it. *)
+
+(* Every instruction, operator and terminator kind, and every attribute
+   bit, in one body. *)
+let every_kind_routine =
+  let binops =
+    U.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr;
+        Eq; Ne; Lt; Le; Gt; Ge ]
+  in
+  let call c_dst c_callee c_args c_site =
+    U.Call { U.c_dst; c_callee; c_args; c_site }
+  in
+  { U.r_name = "every_kind"; r_module = "m"; r_params = [ 0; 1 ];
+    r_blocks =
+      [ { U.b_id = 0;
+          b_instrs =
+            [ U.Const (2, 42L); U.Const (3, Int64.min_int);
+              U.Faddr (4, "callee"); U.Gaddr (5, "table");
+              U.Unop (6, U.Neg, 2); U.Unop (7, U.Not, 3) ]
+            @ List.mapi (fun i op -> U.Binop (8 + i, op, 0, 1)) binops
+            @ [ U.Move (30, 8); U.Load (31, 5); U.Store (5, 31);
+                call (Some 32) (U.Direct "callee") [ 0; 1 ] 7;
+                call None (U.Direct "print_int") [ 32 ] 8;
+                call (Some 33) (U.Indirect 4) [ 2 ] 9;
+                call None (U.Indirect 4) [] 10;
+                U.Gaddr (34, "callee") ];
+          b_term = U.Branch (33, 1, 2) };
+        { U.b_id = 1; b_instrs = []; b_term = U.Jump 3 };
+        { U.b_id = 2; b_instrs = [ U.Const (35, -1L) ];
+          b_term = U.Return None };
+        { U.b_id = 3; b_instrs = []; b_term = U.Return (Some 30) } ];
+    r_next_reg = 36; r_next_label = 4;
+    r_attrs =
+      { U.a_varargs = true; a_alloca = true; a_fp_model = U.Relaxed;
+        a_no_inline = true; a_no_clone = true };
+    r_linkage = U.Exported; r_origin = U.From_source }
+
+let suite_routine bench name =
+  let b = Workloads.Suite.find bench in
+  let p, _ =
+    Minic.Compile.compile_program
+      (Workloads.Suite.sources b ~input:Workloads.Suite.Train)
+  in
+  U.find_routine_exn p name
+
+let test_body_hash_pinned () =
+  let check what expected r =
+    Alcotest.(check string) what expected (Ucode.Hash.routine_body_hash r)
+  in
+  check "hand-built, every kind" "6b62a2cba04ee19bd6d62a847518aea6" every_kind_routine;
+  check "hand-built, no attributes" "6763bca6d25e8f397255fec1f49608e5"
+    { every_kind_routine with U.r_attrs = U.default_attrs };
+  check "023.eqntott main" "d85f639d5fe9b08c9afda4e1e6a3c3d2"
+    (suite_routine "023.eqntott" "main");
+  check "124.m88ksim step_cpu" "a33447f449da852d6e530d5bbd170ab7"
+    (suite_routine "124.m88ksim" "step_cpu")
+
+(* ------------------------------------------------------------------ *)
 (* Size / cost model.                                                  *)
 
 let test_cost_model () =
@@ -616,6 +678,9 @@ let () =
           Alcotest.test_case "clone origin" `Quick test_copy_routine_origin ] );
       ( "size",
         [ Alcotest.test_case "cost model" `Quick test_cost_model ] );
+      ( "hash",
+        [ Alcotest.test_case "body digest pinned" `Quick
+            test_body_hash_pinned ] );
       ( "validate",
         [ Alcotest.test_case "accepts good" `Quick test_validate_good;
           Alcotest.test_case "detects bad" `Quick test_validate_detects;
