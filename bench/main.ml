@@ -1,69 +1,15 @@
-(* The benchmark harness.
-
-   Two halves:
-
-   1. Reproduction: regenerate every table and figure of the paper's
-      evaluation (Figure 5, Table 1, Figure 6, Figure 7, Figure 8) and
-      print them.  Input size comes from the REPRO_INPUT environment
-      variable ("train", the default here, keeps the full harness under
-      a minute; "ref" matches EXPERIMENTS.md).
-
-   2. Timing (Bechamel): one Test.make per table/figure measuring the
-      cost of regenerating (a slice of) it, plus micro-benchmarks of
-      the compiler's own phases — front end, scalar optimizer, HLO,
-      back end, and both execution engines.
+(* The benchmark harness: Bechamel timings.  One Test.make per
+   table/figure measuring the cost of regenerating (a slice of) it, plus
+   micro-benchmarks of the compiler's own phases — front end, scalar
+   optimizer, HLO, back end, and both execution engines.  The tables
+   and figures themselves come from [hlo-experiments all --input ref].
 
      dune exec bench/main.exe *)
 
 open Bechamel
 open Toolkit
 
-let input =
-  match Sys.getenv_opt "REPRO_INPUT" with
-  | Some "ref" -> Workloads.Suite.Ref
-  | _ -> Workloads.Suite.Train
-
-let input_name =
-  match input with Workloads.Suite.Ref -> "ref" | Workloads.Suite.Train -> "train"
-
-(* ------------------------------------------------------------------ *)
-(* Half 1: the reproduction.                                           *)
-
 let section title = Fmt.pr "@.== %s ==@.@." title
-
-let reproduce () =
-  Fmt.pr "Reproduction of the evaluation of 'Aggressive Inlining' (PLDI'97)@.";
-  Fmt.pr "input set: %s (set REPRO_INPUT=ref for the full runs)@." input_name;
-  section "Figure 5: static characteristics of call sites";
-  print_string
-    (Experiments.Fig5_callsites.to_table (Experiments.Fig5_callsites.run ()));
-  section "Table 1: inline and clone information at scopes base/c/p/cp";
-  print_string
-    (Experiments.Table1_transforms.to_table
-       (Experiments.Table1_transforms.run ~input ()));
-  section "Figure 6: relative speedup with inlining, cloning, or both";
-  print_string
-    (Experiments.Fig6_speedup.to_table (Experiments.Fig6_speedup.run ~input ()));
-  section "Figure 7: simulation results (relative to neither)";
-  print_string
-    (Experiments.Fig7_simulation.to_table (Experiments.Fig7_simulation.run ()));
-  section "Figure 8: incremental benefit of operations (022.li)";
-  print_string
-    (Experiments.Fig8_budget.to_table
-       (Experiments.Fig8_budget.run ~input ~points:8 ()));
-  section "Ablations (staging / cold penalty / outlining / positioning)";
-  List.iter
-    (fun s ->
-      print_string (Experiments.Ablations.to_table s);
-      print_newline ())
-    (Experiments.Ablations.all ~input ());
-  section "I-cache sensitivity (abstract claim)";
-  print_string (Experiments.Cache_sweep.to_table (Experiments.Cache_sweep.run ~input ()));
-  section "Scaling study (paper 3.5): synthetic production-size programs";
-  print_string (Experiments.Scaling.to_table (Experiments.Scaling.run ()))
-
-(* ------------------------------------------------------------------ *)
-(* Half 2: Bechamel timing.                                            *)
 
 (* Shared fixtures, prepared once so the timed bodies measure the
    phase under test and not setup. *)
@@ -87,8 +33,9 @@ let table_figure_tests =
     Test.make ~name:"table1/022.li-scope-cp"
       (Staged.stage (fun () ->
            ignore
-             (Experiments.Table1_transforms.run_one ~input:Workloads.Suite.Train
-                ~base_config:quick_config "022.li" Hlo.Config.CP)));
+             (Experiments.Table1_transforms.run_one ~base_config:quick_config
+                (Experiments.Pipeline.prepare ~input:Workloads.Suite.Train li)
+                Hlo.Config.CP)));
     Test.make ~name:"fig6/072.sc-speedups"
       (Staged.stage (fun () ->
            ignore
@@ -102,8 +49,9 @@ let table_figure_tests =
     Test.make ~name:"fig8/022.li-one-point"
       (Staged.stage (fun () ->
            ignore
-             (Experiments.Fig8_budget.run_point ~input:Workloads.Suite.Train
-                ~base_config:quick_config li ~budget:100.0 ~cap:10)));
+             (Experiments.Fig8_budget.run_point ~base_config:quick_config
+                (Experiments.Pipeline.prepare ~input:Workloads.Suite.Train li)
+                ~budget:100.0 ~cap:10)));
     Test.make ~name:"ablations/positioning-022.li"
       (Staged.stage (fun () ->
            ignore
@@ -197,7 +145,6 @@ let benchmark () =
     (List.sort compare !rows)
 
 let () =
-  reproduce ();
   benchmark ();
   telemetry_guard ();
   Fmt.pr "@.done.@."

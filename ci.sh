@@ -116,6 +116,13 @@ diff -u "$tmp/mode-run-whole.txt" "$tmp/mode-run-region.txt"
 diff -u "$tmp/mode-run-whole.txt" "$tmp/mode-run-demand.txt"
 echo "whole mode inert; all three modes agree on run output"
 
+echo "== inline modes at ref input (hlo-experiments modes, BENCH_pr10.json) =="
+# The committed three-mode comparison must reproduce byte for byte.
+dune exec bin/run_experiments.exe -- modes --input ref \
+  --json "$tmp/modes.json" > /dev/null
+cmp "$tmp/modes.json" BENCH_pr10.json
+echo "modes --input ref reproduces BENCH_pr10.json"
+
 echo "== differential fuzz smoke (hlo_fuzz, fixed seed) =="
 # Corpus + random programs through the semantic oracle for ~30s.
 # A nonzero exit means a real finding; the bucketed, reduced repros

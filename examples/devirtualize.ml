@@ -102,7 +102,7 @@ let hot_indirect_calls (p : U.program) =
     (fun acc (r : U.routine) ->
       if not (U.String_set.mem r.U.r_name live) then acc
       else
-      let cyc = Hlo.Summaries.blocks_in_cycles r in
+      let cyc = Hlo.Summary_cache.cycles r in
       acc
       + List.fold_left
           (fun acc (b : U.block) ->

@@ -29,79 +29,57 @@ type study = {
 
 let default_benchmarks = [ "022.li"; "124.m88ksim"; "147.vortex"; "072.sc" ]
 
-let profile_and_program ?(input = Workloads.Suite.Train) name =
-  let b = Workloads.Suite.find name in
-  let profile = Pipeline.train_profile b in
-  let program = Workloads.Suite.compile b ~input in
-  (profile, program)
+let prepare ?(input = Workloads.Suite.Train) name =
+  Pipeline.prepare ~input (Workloads.Suite.find name)
 
-let simulate ?sim_config p = (Machine.Sim.run_program ?config:sim_config p)
+(* A study of HLO configurations: one row per benchmark and [variants]
+   entry, a label and the configuration it measures; [detail] renders
+   the study's extra column from the HLO report. *)
+let config_study ?input ~benchmarks ~name ~detail_label ~detail variants :
+    study =
+  let rows =
+    List.concat_map
+      (fun bench ->
+        let ctx = prepare ?input bench in
+        List.map
+          (fun (label, config) ->
+            let r = Pipeline.measure ctx config in
+            { a_benchmark = bench; a_variant = label;
+              a_cycles = r.Pipeline.r_metrics.Machine.Metrics.cycles;
+              a_detail = detail r.Pipeline.r_report })
+          variants)
+      benchmarks
+  in
+  { st_name = name; st_detail_label = detail_label; st_rows = rows }
 
 (* ------------------------------------------------------------------ *)
 
 let staging ?input ?(benchmarks = default_benchmarks) () : study =
-  let rows =
-    List.concat_map
-      (fun name ->
-        let profile, program = profile_and_program ?input name in
-        let run staging label =
-          let config = { Hlo.Config.default with Hlo.Config.staging } in
-          let res = Hlo.Driver.run ~config ~profile program in
-          let sim = simulate res.Hlo.Driver.program in
-          { a_benchmark = name; a_variant = label;
-            a_cycles = sim.Machine.Sim.metrics.Machine.Metrics.cycles;
-            a_detail =
-              string_of_int (Hlo.Report.total_operations res.Hlo.Driver.report) }
-        in
-        [ run [ 0.25; 0.5; 0.75; 1.0 ] "staged";
-          run [ 1.0 ] "all-upfront" ])
-      benchmarks
-  in
-  { st_name = "budget staging"; st_detail_label = "operations"; st_rows = rows }
+  let at staging = { Hlo.Config.default with Hlo.Config.staging } in
+  config_study ?input ~benchmarks ~name:"budget staging"
+    ~detail_label:"operations"
+    ~detail:(fun rep -> string_of_int (Hlo.Report.total_operations rep))
+    [ ("staged", at [ 0.25; 0.5; 0.75; 1.0 ]); ("all-upfront", at [ 1.0 ]) ]
 
 let cold_penalty ?input ?(benchmarks = default_benchmarks) () : study =
-  let rows =
-    List.concat_map
-      (fun name ->
-        let profile, program = profile_and_program ?input name in
-        let run penalty label =
-          let config =
-            { Hlo.Config.default with Hlo.Config.cold_site_penalty = penalty }
-          in
-          let res = Hlo.Driver.run ~config ~profile program in
-          let sim = simulate res.Hlo.Driver.program in
-          { a_benchmark = name; a_variant = label;
-            a_cycles = sim.Machine.Sim.metrics.Machine.Metrics.cycles;
-            a_detail = string_of_int res.Hlo.Driver.report.Hlo.Report.inlines }
-        in
-        [ run 0.25 "penalized"; run 1.0 "raw-frequency" ])
-      benchmarks
+  let at penalty =
+    { Hlo.Config.default with Hlo.Config.cold_site_penalty = penalty }
   in
-  { st_name = "cold-site penalty"; st_detail_label = "inlines"; st_rows = rows }
+  config_study ?input ~benchmarks ~name:"cold-site penalty"
+    ~detail_label:"inlines"
+    ~detail:(fun rep -> string_of_int rep.Hlo.Report.inlines)
+    [ ("penalized", at 0.25); ("raw-frequency", at 1.0) ]
 
 let outlining ?input ?(benchmarks = default_benchmarks) () : study =
-  let rows =
-    List.concat_map
-      (fun name ->
-        let profile, program = profile_and_program ?input name in
-        let run enable label =
-          let config =
-            { Hlo.Config.default with Hlo.Config.enable_outlining = enable }
-          in
-          let res = Hlo.Driver.run ~config ~profile program in
-          let sim = simulate res.Hlo.Driver.program in
-          { a_benchmark = name; a_variant = label;
-            a_cycles = sim.Machine.Sim.metrics.Machine.Metrics.cycles;
-            a_detail =
-              Printf.sprintf "%d outlined / cost %.0f"
-                res.Hlo.Driver.report.Hlo.Report.outlined
-                res.Hlo.Driver.report.Hlo.Report.cost_after }
-        in
-        [ run false "inline-only"; run true "outline+inline" ])
-      benchmarks
+  let at enable =
+    { Hlo.Config.default with Hlo.Config.enable_outlining = enable }
   in
-  { st_name = "aggressive outlining (paper §5)";
-    st_detail_label = "outlined/cost"; st_rows = rows }
+  config_study ?input ~benchmarks ~name:"aggressive outlining (paper §5)"
+    ~detail_label:"outlined/cost"
+    ~detail:(fun rep ->
+      Printf.sprintf "%d outlined / cost %.0f" rep.Hlo.Report.outlined
+        rep.Hlo.Report.cost_after)
+    [ ("inline-only", at false); ("outline+inline", at true) ]
 
 (** A small, direct-mapped I-cache where routine placement decides
     which hot pairs conflict. *)
@@ -113,19 +91,23 @@ let positioning ?input ?(benchmarks = default_benchmarks) () : study =
   let rows =
     List.concat_map
       (fun name ->
-        let profile, program = profile_and_program ?input name in
-        let res = Hlo.Driver.run ~profile program in
-        let optimized = res.Hlo.Driver.program in
-        let trained = (Interp.train optimized).Interp.profile in
-        let run p label =
-          let sim = simulate ~sim_config:tight_icache_sim p in
-          { a_benchmark = name; a_variant = label;
-            a_cycles = sim.Machine.Sim.metrics.Machine.Metrics.cycles;
-            a_detail =
-              string_of_int sim.Machine.Sim.metrics.Machine.Metrics.icache_misses }
+        let ctx = prepare ?input name in
+        let r =
+          Pipeline.measure ~sim_config:tight_icache_sim ctx Hlo.Config.default
         in
-        [ run optimized "program-order";
-          run (Machine.Positioning.apply optimized trained) "pettis-hansen" ])
+        let optimized = r.Pipeline.r_program in
+        let trained = (Interp.train optimized).Interp.profile in
+        let positioned =
+          Pipeline.simulate ~sim_config:tight_icache_sim ctx
+            (Machine.Positioning.apply optimized trained)
+        in
+        let row label (m : Machine.Metrics.t) =
+          { a_benchmark = name; a_variant = label;
+            a_cycles = m.Machine.Metrics.cycles;
+            a_detail = string_of_int m.Machine.Metrics.icache_misses }
+        in
+        [ row "program-order" r.Pipeline.r_metrics;
+          row "pettis-hansen" positioned.Machine.Sim.metrics ])
       benchmarks
   in
   { st_name = "profile-guided code positioning (Pettis-Hansen, [12])";

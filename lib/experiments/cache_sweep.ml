@@ -35,24 +35,21 @@ let default_geometries : Machine.Cache.config list =
 
 let run_one ?(input = Workloads.Suite.Train)
     ?(geometries = default_geometries) (name : string) : sweep =
-  let b = Workloads.Suite.find name in
-  let profile = Pipeline.train_profile b in
-  let program = Workloads.Suite.compile b ~input in
+  let ctx = Pipeline.prepare ~input (Workloads.Suite.find name) in
   let compile transforms =
-    let config = Pipeline.config_of_transforms transforms in
-    (Hlo.Driver.run ~config ~profile program).Hlo.Driver.program
+    (Pipeline.measure ctx (Pipeline.config_of_transforms transforms))
+      .Pipeline.r_program
   in
-  let base_image = Machine.Layout.build (compile Pipeline.Neither) in
-  let opt_image = Machine.Layout.build (compile Pipeline.Both) in
+  let base_program = compile Pipeline.Neither in
+  let opt_program = compile Pipeline.Both in
   let points =
     List.map
       (fun geometry ->
-        let config =
+        let sim_config =
           { Machine.Sim.default_config with Machine.Sim.icache = geometry }
         in
-        let base = Machine.Sim.run ~config base_image in
-        let opt = Machine.Sim.run ~config opt_image in
-        assert (String.equal base.Machine.Sim.output opt.Machine.Sim.output);
+        let base = Pipeline.simulate ~sim_config ctx base_program in
+        let opt = Pipeline.simulate ~sim_config ctx opt_program in
         let words =
           geometry.Machine.Cache.sets * geometry.Machine.Cache.assoc
           * geometry.Machine.Cache.line_words
@@ -69,10 +66,9 @@ let run_one ?(input = Workloads.Suite.Train)
             Machine.Metrics.icache_miss_rate opt.Machine.Sim.metrics })
       geometries
   in
-  { cw_benchmark = name;
-    cw_code_base = Machine.Layout.code_size base_image;
-    cw_code_opt = Machine.Layout.code_size opt_image;
-    cw_points = points }
+  let code_size p = Machine.Layout.code_size (Machine.Layout.build p) in
+  { cw_benchmark = name; cw_code_base = code_size base_program;
+    cw_code_opt = code_size opt_program; cw_points = points }
 
 let default_benchmarks = [ "126.gcc"; "147.vortex"; "130.li" ]
 

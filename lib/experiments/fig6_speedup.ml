@@ -22,9 +22,10 @@ type result = {
 
 let run_one ?input ~(base_config : Hlo.Config.t)
     (b : Workloads.Suite.benchmark) : row =
+  let ctx = Pipeline.prepare ?input b in
   let cycles transforms =
     let config = Pipeline.config_of_transforms ~base:base_config transforms in
-    let r = Pipeline.run_benchmark ?input ~config b in
+    let r = Pipeline.measure ctx config in
     float_of_int r.Pipeline.r_metrics.Machine.Metrics.cycles
   in
   let base = cycles Pipeline.Neither in

@@ -31,10 +31,10 @@ type row = {
 
 let run_one ?(input = Workloads.Suite.Train) ?sim_config
     ~(base_config : Hlo.Config.t) (name : string) : row list =
-  let b = Workloads.Suite.find name in
+  let ctx = Pipeline.prepare ~input (Workloads.Suite.find name) in
   let metric_of transforms =
     let config = Pipeline.config_of_transforms ~base:base_config transforms in
-    (Pipeline.run_benchmark ~input ?sim_config ~config b).Pipeline.r_metrics
+    (Pipeline.measure ?sim_config ctx config).Pipeline.r_metrics
   in
   let baseline = metric_of Pipeline.Neither in
   let make transforms metrics =

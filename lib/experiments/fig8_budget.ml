@@ -18,34 +18,34 @@ type curve = { budget_percent : float; points : point list }
 
 let default_budgets = [ 25.0; 100.0; 200.0; 1000.0 ]
 
-let run_point ?input ~(base_config : Hlo.Config.t)
-    (b : Workloads.Suite.benchmark) ~budget ~cap : point =
+let run_point ~(base_config : Hlo.Config.t) (ctx : Pipeline.ctx) ~budget ~cap
+    : point =
   let config =
     { base_config with Hlo.Config.budget_percent = budget;
       max_operations = Some cap }
   in
-  let r = Pipeline.run_benchmark ?input ~config b in
+  let r = Pipeline.measure ctx config in
   { operations = cap;
     performed = Hlo.Report.total_operations r.Pipeline.r_report;
     run_cycles = r.Pipeline.r_metrics.Machine.Metrics.cycles }
 
 (** Total operations HLO would perform at [budget] with no cap. *)
-let total_operations ?input ~(base_config : Hlo.Config.t)
-    (b : Workloads.Suite.benchmark) ~budget : int =
+let total_operations ~(base_config : Hlo.Config.t) (ctx : Pipeline.ctx) ~budget
+    : int =
   let config =
     { base_config with Hlo.Config.budget_percent = budget;
       max_operations = None }
   in
-  let r = Pipeline.run_benchmark ?input ~config b in
+  let r = Pipeline.measure ctx config in
   Hlo.Report.total_operations r.Pipeline.r_report
 
 let run ?input ?(base_config = Hlo.Config.default)
     ?(benchmark = "022.li") ?(budgets = default_budgets) ?(points = 12) () :
     curve list =
-  let b = Workloads.Suite.find benchmark in
+  let ctx = Pipeline.prepare ?input (Workloads.Suite.find benchmark) in
   List.map
     (fun budget ->
-      let total = total_operations ?input ~base_config b ~budget in
+      let total = total_operations ~base_config ctx ~budget in
       let step = max 1 (total / max 1 (points - 1)) in
       let rec caps k acc =
         if k >= total then List.rev (total :: acc) else caps (k + step) (k :: acc)
@@ -53,7 +53,7 @@ let run ?input ?(base_config = Hlo.Config.default)
       let caps = caps 0 [] in
       { budget_percent = budget;
         points =
-          List.map (fun cap -> run_point ?input ~base_config b ~budget ~cap) caps })
+          List.map (fun cap -> run_point ~base_config ctx ~budget ~cap) caps })
     budgets
 
 let to_table (curves : curve list) : string =

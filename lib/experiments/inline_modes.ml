@@ -1,6 +1,6 @@
 (** Three-way inline-mode comparison (whole / region / demand).
 
-    Every row is produced by {!Pipeline.run_benchmark}, whose
+    Every row is produced by {!Pipeline.measure}, whose
     output-equality guard doubles as the oracle: a row only exists
     because the transformed program printed byte-for-byte the
     untransformed program's output.  Running this experiment therefore
@@ -56,14 +56,14 @@ let run ?(input = Workloads.Suite.Train) ?(budget = 15.0)
   let rows =
     List.map
       (fun name ->
-        let b = Workloads.Suite.find name in
+        let ctx = Pipeline.prepare ~input (Workloads.Suite.find name) in
         let at mode =
           let config =
             { Hlo.Config.default with
               Hlo.Config.budget_percent = budget; inline_mode = mode;
               region_cold_fraction = cold_fraction }
           in
-          point_of_run (Pipeline.run_benchmark ~input ~config b)
+          point_of_run (Pipeline.measure ctx config)
         in
         { im_benchmark = name; im_whole = at Policy.Whole;
           im_region = at Policy.Region; im_demand = at Policy.Demand })

@@ -8,8 +8,6 @@
     provably behavior-equal to the original before its numbers count.
     The search never trusts a fast-but-wrong candidate. *)
 
-module U = Ucode.Types
-
 type objectives = {
   o_cycles : float;
   o_size : float;
@@ -28,31 +26,18 @@ let point_of (o : objectives) : Policy.Pareto.point =
 (* ------------------------------------------------------------------ *)
 (* Per-benchmark evaluation.                                           *)
 
-type ctx = {
-  cx_benchmark : Workloads.Suite.benchmark;
-  cx_program : U.program;
-  cx_profile : Ucode.Profile.t;
-  cx_pre : Oracle.outcome;
-}
+let prepare = Pipeline.prepare
 
-let prepare ?(input = Workloads.Suite.Ref) b =
-  let program = Workloads.Suite.compile b ~input in
-  { cx_benchmark = b; cx_program = program;
-    cx_profile = Pipeline.train_profile b;
-    cx_pre = Oracle.observe program }
-
-let ctx_benchmark cx = cx.cx_benchmark
-
-let evaluate ?(mutation = Oracle.Keep) cx (policy : Policy.t) :
+let evaluate ?(mutation = Oracle.Keep) (cx : Pipeline.ctx) (policy : Policy.t) :
     (objectives, string) result =
   let config = Hlo.Config.of_policy policy in
-  let profile = Oracle.mutate_profile mutation cx.cx_profile in
-  match Hlo.Driver.run ~config ~profile cx.cx_program with
+  let profile = Oracle.mutate_profile mutation cx.Pipeline.profile in
+  match Hlo.Driver.run ~config ~profile cx.Pipeline.program with
   | exception e -> Error ("driver: " ^ Printexc.to_string e)
   | result -> (
     let optimized = result.Hlo.Driver.program in
     let post = Oracle.observe optimized in
-    match Oracle.compare_outcomes ~pre:cx.cx_pre ~post with
+    match Oracle.compare_outcomes ~pre:cx.Pipeline.reference ~post with
     | Some (cls, detail) -> Error (Printf.sprintf "oracle:%s (%s)" cls detail)
     | None -> (
       let sim = Machine.Sim.run_program optimized in
@@ -77,8 +62,7 @@ let eval_class ctxs policy : (objectives list, string) result =
     | cx :: rest -> (
       match evaluate cx policy with
       | Ok o -> go (o :: acc) rest
-      | Error e ->
-        Error (cx.cx_benchmark.Workloads.Suite.b_name ^ ": " ^ e))
+      | Error e -> Error (cx.Pipeline.name ^ ": " ^ e))
   in
   go [] ctxs
 
@@ -273,7 +257,7 @@ let run ?(seed = 1997) ?(samples = 16) ?(rounds = 3) ?(mutations = 3)
   in
   let rows =
     List.concat_map
-      (fun (_, ctxs, cr, clean) ->
+      (fun (suite, ctxs, cr, clean) ->
         let breakdown_of p =
           match
             List.find_opt (fun c -> Policy.equal c.cd_policy p) clean
@@ -307,8 +291,7 @@ let run ?(seed = 1997) ?(samples = 16) ?(rounds = 3) ?(mutations = 3)
               | (_, best) :: _ -> best
               | [] -> (d, Policy.default)
             in
-            { br_name = cx.cx_benchmark.Workloads.Suite.b_name;
-              br_suite = cx.cx_benchmark.Workloads.Suite.b_suite;
+            { br_name = cx.Pipeline.name; br_suite = suite;
               br_default = d; br_tuned = List.nth tuned_bd i;
               br_best = best_o; br_best_policy = best_p })
           ctxs)

@@ -25,14 +25,10 @@ type objectives = {
   o_cost : float;  (** compile cost spent, Σ size² units *)
 }
 
-(** Per-benchmark precomputation shared by every candidate: the
-    compiled (ref or train) program, its training profile, and the
-    pre-transformation oracle observation. *)
-type ctx
-
-val prepare : ?input:Workloads.Suite.input -> Workloads.Suite.benchmark -> ctx
-
-val ctx_benchmark : ctx -> Workloads.Suite.benchmark
+(** {!Pipeline.prepare}: the per-benchmark work every candidate
+    shares. *)
+val prepare :
+  ?input:Workloads.Suite.input -> Workloads.Suite.benchmark -> Pipeline.ctx
 
 (** Run HLO under [policy] (optionally with a metamorphically mutated
     profile) and measure.  [Error reason] when the driver traps, the
@@ -41,7 +37,7 @@ val ctx_benchmark : ctx -> Workloads.Suite.benchmark
     rejected, never scored. *)
 val evaluate :
   ?mutation:Oracle.profile_mutation ->
-  ctx ->
+  Pipeline.ctx ->
   Policy.t ->
   (objectives, string) result
 

@@ -22,32 +22,27 @@ type row = {
 
 let run_one ~modules : row =
   let program = Workloads.Synthetic.compile ~modules () in
-  let profile = (Interp.train program).Interp.profile in
-  let t0 = Sys.time () in
-  let res = Hlo.Driver.run ~profile program in
-  let compile_seconds = Sys.time () -. t0 in
-  let baseline_config =
-    Hlo.Config.with_transforms Hlo.Config.default ~inline:false ~clone:false
+  let ctx =
+    Pipeline.of_program ~name:(Printf.sprintf "synthetic-%d" modules) program
   in
-  let baseline = Hlo.Driver.run ~config:baseline_config ~profile program in
-  let cycles p =
-    (Machine.Sim.run_program p).Machine.Sim.metrics.Machine.Metrics.cycles
+  let res = Pipeline.measure ctx Hlo.Config.default in
+  let baseline =
+    Pipeline.measure ctx (Pipeline.config_of_transforms Pipeline.Neither)
   in
-  let base_cycles = cycles baseline.Hlo.Driver.program in
-  let opt_cycles = cycles res.Hlo.Driver.program in
+  let cycles (r : Pipeline.run) = r.Pipeline.r_metrics.Machine.Metrics.cycles in
+  let report = res.Pipeline.r_report in
   let cg = Ucode.Callgraph.build program in
   { sc_modules = modules;
     sc_routines = List.length program.Ucode.Types.p_routines;
     sc_call_sites = Ucode.Callgraph.total_sites cg;
     sc_instructions = Ucode.Size.program_size program;
-    sc_operations = Hlo.Report.total_operations res.Hlo.Driver.report;
+    sc_operations = Hlo.Report.total_operations report;
     sc_cost_growth =
-      (if res.Hlo.Driver.report.Hlo.Report.cost_before > 0.0 then
-         res.Hlo.Driver.report.Hlo.Report.cost_after
-         /. res.Hlo.Driver.report.Hlo.Report.cost_before
+      (if report.Hlo.Report.cost_before > 0.0 then
+         report.Hlo.Report.cost_after /. report.Hlo.Report.cost_before
        else 1.0);
-    sc_speedup = float_of_int base_cycles /. float_of_int opt_cycles;
-    sc_compile_seconds = compile_seconds }
+    sc_speedup = float_of_int (cycles baseline) /. float_of_int (cycles res);
+    sc_compile_seconds = res.Pipeline.r_hlo_seconds }
 
 let default_sizes = [ 2; 4; 8; 16; 32 ]
 

@@ -25,26 +25,31 @@ type row = {
   run_cycles : int;
 }
 
-let run_one ?input ~(base_config : Hlo.Config.t) (name : string)
+let run_one ~(base_config : Hlo.Config.t) (ctx : Pipeline.ctx)
     (scope : Hlo.Config.scope) : row =
-  let b = Workloads.Suite.find name in
   let config = Hlo.Config.with_scope base_config scope in
-  let r = Pipeline.run_benchmark ?input ~config b in
+  let r = Pipeline.measure ctx config in
   let report = r.Pipeline.r_report in
-  { benchmark = name; scope; inlines = report.Hlo.Report.inlines;
+  { benchmark = ctx.Pipeline.name; scope; inlines = report.Hlo.Report.inlines;
     clones = report.Hlo.Report.clones_created;
     clone_replacements = report.Hlo.Report.clone_replacements;
     deletions = report.Hlo.Report.deletions;
     compile_cost = report.Hlo.Report.cost_after;
-    compile_seconds = r.Pipeline.r_compile_seconds;
+    (* the compile half: the compile, the training when the scope uses
+       profile feedback, and HLO *)
+    compile_seconds =
+      ctx.Pipeline.compile_seconds +. r.Pipeline.r_hlo_seconds
+      +. (if config.Hlo.Config.use_profile then ctx.Pipeline.train_seconds
+          else 0.0);
     run_cycles = r.Pipeline.r_metrics.Machine.Metrics.cycles }
 
 let run ?input ?(base_config = Hlo.Config.default)
     ?(benchmarks = default_benchmarks) () : row list =
   List.concat_map
     (fun name ->
+      let ctx = Pipeline.prepare ?input (Workloads.Suite.find name) in
       List.map
-        (fun scope -> run_one ?input ~base_config name scope)
+        (fun scope -> run_one ~base_config ctx scope)
         [ Hlo.Config.Base; Hlo.Config.C; Hlo.Config.P; Hlo.Config.CP ])
     benchmarks
 

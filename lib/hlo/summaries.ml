@@ -22,14 +22,6 @@ module U = Ucode.Types
 module CP = Opt.Constprop
 
 (* ------------------------------------------------------------------ *)
-(* Loop heuristic: blocks that sit on a CFG cycle.                     *)
-
-(** Labels of blocks that are part of some cycle of [r]'s CFG
-    (including self-loops).  Used as a stand-in for execution frequency
-    when no profile is available.  Memoized by body hash. *)
-let blocks_in_cycles (r : U.routine) : U.Int_set.t = Summary_cache.cycles r
-
-(* ------------------------------------------------------------------ *)
 (* Frequencies.                                                        *)
 
 (** Weight used for in-loop blocks when no profile is available. *)
@@ -44,7 +36,7 @@ let block_relative_weight ~(config : Config.t) ~(profile : Ucode.Profile.t)
     if entry <= 0.0 then 0.0
     else Ucode.Profile.block_count profile ~routine:r.U.r_name ~block:label /. entry
   end
-  else if U.Int_set.mem label (blocks_in_cycles r) then loop_weight
+  else if U.Int_set.mem label (Summary_cache.cycles r) then loop_weight
   else 1.0
 
 (** Absolute frequency estimate of a call site sitting in block
@@ -54,7 +46,7 @@ let site_frequency ~(config : Config.t) ~(profile : Ucode.Profile.t)
     (r : U.routine) ~(site : U.site) ~(label : U.label) : float =
   if config.Config.use_profile && not (Ucode.Profile.is_empty profile) then
     Ucode.Profile.site_count profile site
-  else if U.Int_set.mem label (blocks_in_cycles r) then loop_weight
+  else if U.Int_set.mem label (Summary_cache.cycles r) then loop_weight
   else 1.0
 
 (* ------------------------------------------------------------------ *)
@@ -117,7 +109,7 @@ let param_usage ~(config : Config.t) ~(profile : Ucode.Profile.t)
           /. entry
     end
     else begin
-      let cycles = blocks_in_cycles r in
+      let cycles = Summary_cache.cycles r in
       fun label -> if U.Int_set.mem label cycles then loop_weight else 1.0
     end
   in

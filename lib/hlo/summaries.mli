@@ -3,10 +3,6 @@
     and the block/site frequency estimates shared by the cloner's and
     inliner's benefit calculations. *)
 
-(** Blocks of the routine that sit on a CFG cycle (the loop heuristic
-    used when no profile is available). *)
-val blocks_in_cycles : Ucode.Types.routine -> Ucode.Types.Int_set.t
-
 (** Frequency weight assigned to in-loop blocks without profile data. *)
 val loop_weight : float
 

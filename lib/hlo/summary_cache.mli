@@ -17,6 +17,10 @@ type entry = {
 val find : Ucode.Types.routine -> entry
 
 val size : Ucode.Types.routine -> int
+
+(** Labels of blocks on some cycle of the routine's CFG (self-loops
+    included): the loop heuristic that stands in for execution
+    frequency when no profile is available. *)
 val cycles : Ucode.Types.routine -> Ucode.Types.Int_set.t
 
 type stats = {

@@ -253,32 +253,43 @@ let snapshot_globals st : (string * int64 array) list =
       (g.U.g_name, Array.sub st.memory base g.U.g_size))
     st.program.U.p_globals
 
+type outcome =
+  | Finished of result
+  | Trapped of { trap : trap; routine : string; partial : result }
+
 (* [span_name] distinguishes plain runs from training runs in traces. *)
-let run_spanned span_name config (p : U.program) : result =
+let run_spanned span_name config (p : U.program) : outcome =
   Telemetry.Collector.with_span span_name @@ fun () ->
   let st = make_state p config in
   let main, main_blocks = Hashtbl.find st.routines p.U.p_main in
-  let exit_code = run_routine st main main_blocks [] in
-  if Telemetry.Collector.enabled () then begin
-    Telemetry.Collector.annotate "steps" (Telemetry.Event.Int st.steps);
-    Telemetry.Collector.annotate "profiled" (Telemetry.Event.Bool config.profile);
-    Telemetry.Collector.count "interp.steps" st.steps
-  end;
-  { exit_code; output = Buffer.contents st.output; steps = st.steps;
-    profile = st.prof; globals = snapshot_globals st }
+  let result exit_code =
+    { exit_code; output = Buffer.contents st.output; steps = st.steps;
+      profile = st.prof; globals = snapshot_globals st }
+  in
+  match run_routine st main main_blocks [] with
+  | exit_code ->
+    if Telemetry.Collector.enabled () then begin
+      Telemetry.Collector.annotate "steps" (Telemetry.Event.Int st.steps);
+      Telemetry.Collector.annotate "profiled"
+        (Telemetry.Event.Bool config.profile);
+      Telemetry.Collector.count "interp.steps" st.steps
+    end;
+    Finished (result exit_code)
+  | exception Trap (trap, routine) ->
+    Trapped { trap; routine; partial = result 0L }
+
+let raise_trap = function
+  | Finished r -> r
+  | Trapped { trap; routine; _ } -> raise (Trap (trap, routine))
 
 (** Run a program from its [main] routine (called with no arguments). *)
 let run ?(config = default_config) (p : U.program) : result =
-  run_spanned "interp.run" config p
+  raise_trap (run_spanned "interp.run" config p)
 
 (** The instrumented training run: execute and return the profile
     database alongside the result. *)
 let train ?(config = default_config) (p : U.program) : result =
-  run_spanned "interp.train" { config with profile = true } p
-
-type outcome =
-  | Finished of result
-  | Trapped of { trap : trap; routine : string; partial : result }
+  raise_trap (run_spanned "interp.train" { config with profile = true } p)
 
 (** Like {!run}, but a trap is returned as a value together with the
     observable state accumulated up to it (output printed so far and
@@ -287,18 +298,4 @@ type outcome =
     transformed program must trap the same way *and* have produced the
     same observable effects before trapping. *)
 let run_outcome ?(config = default_config) (p : U.program) : outcome =
-  Telemetry.Collector.with_span "interp.run" @@ fun () ->
-  let st = make_state p config in
-  let main, main_blocks = Hashtbl.find st.routines p.U.p_main in
-  match run_routine st main main_blocks [] with
-  | exit_code ->
-    Finished
-      { exit_code; output = Buffer.contents st.output; steps = st.steps;
-        profile = st.prof; globals = snapshot_globals st }
-  | exception Trap (trap, routine) ->
-    Trapped
-      { trap; routine;
-        partial =
-          { exit_code = 0L; output = Buffer.contents st.output;
-            steps = st.steps; profile = st.prof;
-            globals = snapshot_globals st } }
+  run_spanned "interp.run" config p

@@ -215,6 +215,41 @@ let test_scaling_structure () =
       (big.Experiments.Scaling.sc_cost_growth <= 2.05)
   | _ -> ()
 
+(* Every experiment measures through Pipeline.measure, so an armed
+   miscompilation raises instead of leaving rows of cycles for a wrong
+   program. *)
+let test_ablations_reject_miscompile () =
+  List.iter
+    (fun bug ->
+      match
+        Hlo.Chaos.with_bug bug (fun () ->
+            Experiments.Ablations.staging ~input:Workloads.Suite.Train
+              ~benchmarks:[ "022.li" ] ())
+      with
+      | _ ->
+        Alcotest.failf "%s: miscompiled program measured" (Hlo.Chaos.name bug)
+      | exception Invalid_argument _ -> ())
+    [ Hlo.Chaos.Inline_lost_retval; Hlo.Chaos.Inline_swap_args ]
+
+(* The training run and the reference run are invariant across
+   configurations: one of each per benchmark, however many inline modes
+   are measured. *)
+let test_shared_setup () =
+  let c = Telemetry.Collector.create () in
+  Telemetry.Collector.install c;
+  Fun.protect ~finally:Telemetry.Collector.uninstall (fun () ->
+      ignore
+        (Experiments.Inline_modes.run ~input:Workloads.Suite.Train
+           ~benchmarks:[ "022.li"; "130.li" ] ()));
+  let spans name =
+    List.length
+      (List.filter
+         (fun (sp : Telemetry.Event.span) -> sp.Telemetry.Event.sp_name = name)
+         (Telemetry.Collector.spans c))
+  in
+  check_int "training runs" 2 (spans "interp.train");
+  check_int "reference runs" 2 (spans "interp.run")
+
 let () =
   Alcotest.run "experiments"
     [ ( "tables",
@@ -228,4 +263,9 @@ let () =
           Alcotest.test_case "fig8" `Slow test_fig8_structure;
           Alcotest.test_case "ablations" `Slow test_ablations_structure;
           Alcotest.test_case "cache sweep" `Slow test_cache_sweep_structure;
-          Alcotest.test_case "scaling" `Slow test_scaling_structure ] ) ]
+          Alcotest.test_case "scaling" `Slow test_scaling_structure ] );
+      ( "pipeline",
+        [ Alcotest.test_case "ablations reject a miscompile" `Slow
+            test_ablations_reject_miscompile;
+          Alcotest.test_case "one set-up per benchmark" `Slow
+            test_shared_setup ] ) ]

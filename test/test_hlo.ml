@@ -151,7 +151,7 @@ let test_blocks_in_cycles () =
   |} in
   let p = compile src in
   let main = U.find_routine_exn p "main" in
-  let cyc = Hlo.Summaries.blocks_in_cycles main in
+  let cyc = Hlo.Summary_cache.cycles main in
   check_bool "some blocks cycle" true (not (U.Int_set.is_empty cyc));
   check_bool "entry does not cycle" false
     (U.Int_set.mem (U.entry_block main).U.b_id cyc)
@@ -540,7 +540,7 @@ let test_driver_staged_devirtualization () =
       (fun (r : U.routine) ->
         U.String_set.mem r.U.r_name live
         &&
-        let cyc = Hlo.Summaries.blocks_in_cycles r in
+        let cyc = Hlo.Summary_cache.cycles r in
         List.exists
           (fun (b : U.block) ->
             U.Int_set.mem b.U.b_id cyc
