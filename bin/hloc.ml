@@ -60,7 +60,7 @@ let try_daemon ~socket ~files options =
   else Cli.daemon_compile ~socket ~files options
 
 let compile_and_run files config (opts : P.compile_options) dump_policy trace
-    trace_format telemetry_summary summary_cache compile_only link_isoms
+    trace_format telemetry_summary compile_only link_isoms
     incremental isom_dir output write_profiles daemon daemon_socket =
   let stats = opts.P.co_stats in
   if dump_policy then begin
@@ -90,11 +90,11 @@ let compile_and_run files config (opts : P.compile_options) dump_policy trace
   (* Daemon routing: whole-program compiles whose only side effects are
      the printed outputs can be served by a running hlod — the daemon
      runs the same pipeline, so the bytes are identical.  Modes that
-     write files (isom objects, traces, profile fragments, the summary
-     cache) stay in-process. *)
+     write files (isom objects, traces, profile fragments) stay
+     in-process. *)
   let daemon_eligible =
     mode = Whole && trace = None && (not telemetry_summary)
-    && summary_cache = None && not write_profiles
+    && not write_profiles
   in
   let daemon_verdict =
     match daemon with
@@ -103,8 +103,8 @@ let compile_and_run files config (opts : P.compile_options) dump_policy trace
       if daemon = Daemon_require then
         `Fail
           "--daemon require: this invocation is not daemon-eligible \
-           (isom modes, --trace, --telemetry-summary, --summary-cache \
-           and --write-profiles run in-process)"
+           (isom modes, --trace, --telemetry-summary and \
+           --write-profiles run in-process)"
       else `In_process
     | Daemon_auto | Daemon_require -> (
       match
@@ -119,24 +119,6 @@ let compile_and_run files config (opts : P.compile_options) dump_policy trace
   | `Served result -> result
   | `Fail msg -> `Error (false, msg)
   | `In_process ->
-  (* Summary cache: warm the memo store from disk before compiling and
-     persist it afterwards — including on a failed compile, since
-     entries computed before the failure are still valid. *)
-  (match summary_cache with
-  | None -> ()
-  | Some path ->
-    (match Hlo.Summary_cache.load path with
-    | Ok n -> if stats && n > 0 then Fmt.pr "[cache] loaded %d summaries@." n
-    | Error msg -> Fmt.epr "hloc: ignoring summary cache: %s@." msg));
-  let save_summary_cache () =
-    match summary_cache with
-    | None -> ()
-    | Some path ->
-      (match Hlo.Summary_cache.save path with
-      | Ok () -> ()
-      | Error msg -> Fmt.epr "hloc: cannot write summary cache: %s@." msg)
-  in
-  Fun.protect ~finally:save_summary_cache @@ fun () ->
   (* Telemetry: install a collector when any observability flag is on
      (the decision journal needs one too); export/summarize even if the
      compile or the run traps. *)
@@ -332,14 +314,6 @@ let telemetry_summary =
            ~doc:"Print a human-readable summary of phase timings, \
                  counters and optimizer decisions.")
 
-let summary_cache =
-  Arg.(value & opt (some string) None
-       & info [ "summary-cache" ] ~docv:"PATH"
-           ~doc:"Persist the content-hashed routine summary cache to \
-                 $(docv): load it before compiling (if it exists) and \
-                 save it back on exit, so repeated compiles of \
-                 overlapping code skip recomputing summaries.")
-
 let compile_only =
   Arg.(value & flag
        & info [ "c"; "compile-only" ]
@@ -417,7 +391,7 @@ let cmd =
   Cmd.v info
     Term.(ret
             (const compile_and_run $ files $ Cli.config $ Cli.outputs
-            $ dump_policy $ trace $ trace_format $ telemetry_summary $ summary_cache $ compile_only
+            $ dump_policy $ trace $ trace_format $ telemetry_summary $ compile_only
             $ link_isoms $ incremental $ isom_dir $ output $ write_profiles
             $ daemon $ daemon_socket))
 

@@ -2,10 +2,9 @@
 
    Binds a Unix-domain socket and serves the hlod2 protocol: compile
    requests (bit-identical to `hloc` whole-program mode), stats, ping
-   and graceful shutdown.  The process owns the cross-request summary
-   cache and clone database, and a content-addressed artifact store,
-   so repeated compiles of the same modules are served without
-   compiling at all.
+   and graceful shutdown.  The process owns the cross-request clone
+   database and a content-addressed artifact store, so repeated
+   compiles of the same modules are served without compiling at all.
 
      hlod --socket /tmp/hlod.sock --server-budget 4e9 &
      hlo_client compile a.mc b.mc --stats
@@ -14,14 +13,14 @@
 open Cmdliner
 
 let serve socket server_budget request_budget queue_limit artifact_dir
-    artifact_cap summary_cache max_frame verbose =
+    artifact_cap max_frame verbose =
   let socket =
     match socket with Some s -> s | None -> Serve.Client.default_socket ()
   in
   let config =
     { Serve.Service.default_config with
       server_budget; request_budget; queue_limit; artifact_dir; artifact_cap;
-      summary_cache; max_frame }
+      max_frame }
   in
   match Serve.Server.start ~socket config with
   | exception Unix.Unix_error (e, _, _) ->
@@ -80,12 +79,6 @@ let artifact_cap =
                  $(b,--artifact-dir) directory drops its oldest files.  \
                  Unset means unbounded.")
 
-let summary_cache =
-  Arg.(value & opt (some string) None
-       & info [ "summary-cache" ] ~docv:"PATH"
-           ~doc:"Warm the routine summary cache from $(docv) on start and \
-                 persist it on shutdown.")
-
 let max_frame =
   Arg.(value & opt int Serve.Protocol.default_max_frame
        & info [ "max-frame" ] ~docv:"BYTES"
@@ -100,7 +93,6 @@ let cmd =
   Cmd.v info
     Term.(ret
             (const serve $ socket $ server_budget $ request_budget
-            $ queue_limit $ artifact_dir $ artifact_cap $ summary_cache
-            $ max_frame $ verbose))
+            $ queue_limit $ artifact_dir $ artifact_cap $ max_frame $ verbose))
 
 let () = exit (Cmd.eval cmd)

@@ -21,29 +21,6 @@ dune runtest
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-echo "== summary cache smoke (hloc --summary-cache) =="
-dune exec bin/hloc.exe -- \
-  examples/telemetry_util.mc examples/telemetry_main.mc \
-  --dump-ir --stats --summary-cache "$tmp/summaries.cache" > "$tmp/cold.txt"
-test -s "$tmp/summaries.cache"
-dune exec bin/hloc.exe -- \
-  examples/telemetry_util.mc examples/telemetry_main.mc \
-  --dump-ir --stats --summary-cache "$tmp/summaries.cache" > "$tmp/warm.txt"
-grep -q '\[cache\] loaded' "$tmp/warm.txt"
-diff -u "$tmp/cold.txt" <(grep -v '^\[cache\]' "$tmp/warm.txt")
-echo "warm-cache output identical to cold"
-# A forged header whose payload length exceeds the file: the load must
-# be refused (not die allocating), and the compile must match cold.
-printf 'hloc-summary-cache 2 %s 4611686018427387000\n' \
-  "$(printf '%032d' 0)" > "$tmp/summaries.cache"
-dune exec bin/hloc.exe -- \
-  examples/telemetry_util.mc examples/telemetry_main.mc \
-  --dump-ir --stats --summary-cache "$tmp/summaries.cache" \
-  > "$tmp/forged.txt" 2> "$tmp/forged.err"
-grep -q 'ignoring summary cache' "$tmp/forged.err"
-diff -u "$tmp/cold.txt" "$tmp/forged.txt"
-echo "oversized cache header ignored, output identical to cold"
-
 echo "== isom separate compilation smoke (hloc -c / --link) =="
 # Whole-program reference, then per-module isoms, then a link of the
 # isoms: IR, stats and run output must be byte-identical.
@@ -98,6 +75,20 @@ make tune-smoke
 dune exec bin/hloc.exe -- \
   --policy _build/tune_policies/specint92.policy --dump-policy > /dev/null
 echo "policy round trip identical; tuner deterministic"
+# A forged header whose payload length exceeds the file: the load must
+# be refused with a diagnostic and a nonzero exit, not die allocating.
+printf 'hlo-policy 1 %s 4611686018427387000\n' \
+  "$(printf '%032d' 0)" > "$tmp/forged.policy"
+status=0
+dune exec bin/hloc.exe -- \
+  examples/telemetry_util.mc examples/telemetry_main.mc \
+  --policy "$tmp/forged.policy" > /dev/null 2> "$tmp/forged.err" || status=$?
+test "$status" -ne 0
+grep -q 'truncated payload' "$tmp/forged.err"
+if grep -qi 'exception' "$tmp/forged.err"; then
+  cat "$tmp/forged.err"; exit 1
+fi
+echo "oversized policy header refused with a diagnostic"
 
 echo "== inline mode smoke (hloc --inline-mode) =="
 # Whole spelled explicitly must be byte-identical to the default; the

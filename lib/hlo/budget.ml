@@ -42,8 +42,6 @@ let credit t delta = t.spent <- Float.max 0.0 (t.spent -. delta)
 (** True when even the final stage has no room left. *)
 let exhausted t = t.spent >= t.allowance
 
-let current_cost t = t.base_cost +. t.spent
-
 (** Re-anchor [spent] from a freshly measured program cost.  Called
     after the between-pass optimizer runs: shrinking a routine gives
     budget back ("recalibrate"). *)

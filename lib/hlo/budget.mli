@@ -26,8 +26,6 @@ val credit : t -> float -> unit
 (** No room left even at the final stage. *)
 val exhausted : t -> bool
 
-val current_cost : t -> float
-
 (** Re-anchor [spent] from a freshly measured cost — shrinkage from the
     between-pass optimizer earns budget back ("recalibrate"). *)
 val recalibrate : t -> measured_cost:float -> unit

@@ -9,8 +9,7 @@
 
     The store is process-global and mutex-guarded, so a long-lived
     server ([hlod]) shares materialization work across concurrent
-    compile requests exactly like {!Summary_cache} shares body
-    analyses.  Instantiation is bit-identical to direct
+    compile requests.  Instantiation is bit-identical to direct
     materialization (a qcheck property in [test_hlo] pins this down),
     so caching never perturbs results. *)
 

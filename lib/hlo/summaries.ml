@@ -15,8 +15,8 @@
       cloner's and inliner's benefit calculations.
 
     Body-only facts (the cycle sets behind the loop heuristic) come
-    from [Summary_cache], keyed by routine-body hash, so they are
-    computed once per distinct body rather than once per query. *)
+    from [Summary_cache], so they are computed once per routine version
+    rather than once per query. *)
 
 module U = Ucode.Types
 module CP = Opt.Constprop
@@ -26,18 +26,6 @@ module CP = Opt.Constprop
 
 (** Weight used for in-loop blocks when no profile is available. *)
 let loop_weight = 8.0
-
-(** Execution weight of a block *relative to its routine's entry*.
-    1.0 means "as often as the routine is entered". *)
-let block_relative_weight ~(config : Config.t) ~(profile : Ucode.Profile.t)
-    (r : U.routine) (label : U.label) : float =
-  if config.Config.use_profile && not (Ucode.Profile.is_empty profile) then begin
-    let entry = Ucode.Profile.entry_count profile r in
-    if entry <= 0.0 then 0.0
-    else Ucode.Profile.block_count profile ~routine:r.U.r_name ~block:label /. entry
-  end
-  else if U.Int_set.mem label (Summary_cache.cycles r) then loop_weight
-  else 1.0
 
 (** Absolute frequency estimate of a call site sitting in block
     [label] of [r].  With profile data this is the measured site count;

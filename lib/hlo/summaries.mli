@@ -3,18 +3,6 @@
     and the block/site frequency estimates shared by the cloner's and
     inliner's benefit calculations. *)
 
-(** Frequency weight assigned to in-loop blocks without profile data. *)
-val loop_weight : float
-
-(** Execution weight of a block relative to its routine's entry
-    (1.0 = once per invocation). *)
-val block_relative_weight :
-  config:Config.t ->
-  profile:Ucode.Profile.t ->
-  Ucode.Types.routine ->
-  Ucode.Types.label ->
-  float
-
 (** Absolute frequency estimate of a call site: measured count with
     profile data, the loop heuristic without. *)
 val site_frequency :

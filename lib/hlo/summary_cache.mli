@@ -1,11 +1,10 @@
-(** Content-hashed memo store for per-routine analyses (the paper's
-    *isom* summary files, upgraded to an in-memory + on-disk memo).
+(** Per-version memo for per-routine analyses.
 
     Facts that depend only on a routine's body — static size, the set
-    of blocks on CFG cycles — are keyed by
-    [Ucode.Hash.routine_body_hash] and reused across passes, across
-    clones, and across `hloc` runs.  Cached values are identical to
-    what recomputation would produce, so caching never perturbs
+    of blocks on CFG cycles — are memoized per routine version, so
+    repeated queries against an unchanged body (the inliner re-scoring
+    a callee, each pass re-keying it) walk it once.  A memoized value is
+    what recomputation would produce, so the memo never perturbs
     optimizer decisions.  All operations are domain-safe. *)
 
 type entry = {
@@ -26,8 +25,7 @@ val cycles : Ucode.Types.routine -> Ucode.Types.Int_set.t
 type stats = {
   hits : int;
   misses : int;
-  entries : int;   (** resident entries, including loaded ones *)
-  loaded : int;    (** entries brought in by [load] *)
+  entries : int;   (** live bindings: versions still reachable *)
 }
 
 val stats : unit -> stats
@@ -35,14 +33,3 @@ val reset_stats : unit -> unit
 
 (** Drop all entries and zero the statistics. *)
 val clear : unit -> unit
-
-(** Merge a cache file into the store.  Returns the number of entries
-    added; a missing file is [Ok 0].  Entries already resident win.
-    The file uses the shared versioned/checksummed {!Store} container;
-    any header or checksum problem is an [Error], never an
-    exception. *)
-val load : string -> (int, string) result
-
-(** Write the store to [path] (sorted by hash — the file contents are
-    a deterministic function of the store). *)
-val save : string -> (unit, string) result

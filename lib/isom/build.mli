@@ -31,8 +31,6 @@ type input =
           to learn their exports; no point parsing twice) *)
   | Obj of File.t                      (** already compiled *)
 
-val input_name : input -> string
-
 (** Compile every [Src]/[Parsed] input against the exports of the whole
     batch; [Obj] inputs pass through untouched.  Returns one isom per
     input, in order, plus all diagnostics.  Raises

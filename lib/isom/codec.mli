@@ -18,11 +18,6 @@ val at_end : reader -> bool
 val put_int : Buffer.t -> int -> unit
 val get_int : reader -> int
 
-(** [get_count] is [get_int] restricted to [0 .. max]; list and string
-    lengths go through it so a corrupt length cannot allocate
-    unboundedly. *)
-val get_count : reader -> max:int -> int
-
 val put_int64 : Buffer.t -> int64 -> unit
 val get_int64 : reader -> int64
 

@@ -54,10 +54,6 @@ val make :
   Ucode.Linker.module_ir ->
   t
 
-(** Canonical hash of an export environment (entries in the order
-    given). *)
-val ext_env_hash : Minic.Sema.ext_env -> Ucode.Hash.t
-
 (** The [i_ext_hash] invalidation key: the hash of the environment
     restricted to the names the module's IR references but does not
     define, sorted by name.  Every external name the lowering consulted

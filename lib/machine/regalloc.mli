@@ -8,8 +8,6 @@
     registers. *)
 
 val result_reg : int
-val caller_saved_pool : int list
-val callee_saved_pool : int list
 val scratch1 : int
 val scratch2 : int
 val sp : int
@@ -28,16 +26,5 @@ val location : t -> Ucode.Types.reg -> location
 
 (** Frame words: spill slots plus the callee-saved save area. *)
 val frame_size : t -> int
-
-type interval = {
-  vreg : Ucode.Types.reg;
-  start : int;
-  stop : int;  (** inclusive *)
-  crosses_call : bool;
-}
-
-(** Conservative live intervals over the linearized routine, sorted by
-    start, plus the call positions. *)
-val intervals_of : Ucode.Types.routine -> interval list * int list
 
 val allocate : Ucode.Types.routine -> t

@@ -13,8 +13,6 @@ type penalties = {
   div_extra : int;
 }
 
-val default_penalties : penalties
-
 type config = {
   memory_cells : int;
   max_instructions : int;

@@ -2,8 +2,6 @@
 
 type pos = { file : string; line : int; col : int }
 
-let dummy_pos = { file = "<none>"; line = 0; col = 0 }
-
 let pp_pos ppf p = Fmt.pf ppf "%s:%d:%d" p.file p.line p.col
 
 type severity = Error | Warning

@@ -2,9 +2,6 @@
 
 type pos = { file : string; line : int; col : int }
 
-val dummy_pos : pos
-val pp_pos : Format.formatter -> pos -> unit
-
 type severity = Error | Warning
 
 type t = { d_pos : pos; d_severity : severity; d_message : string }

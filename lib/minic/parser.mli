@@ -4,8 +4,5 @@
 
 exception Parse_error of Diag.t
 
-(** Parse one module from already-lexed tokens. *)
-val parse_unit : module_name:string -> Lexer.lexed list -> Ast.unit_
-
 (** Lex and parse one module from source text. *)
 val parse : module_name:string -> file:string -> string -> Ast.unit_

@@ -17,8 +17,6 @@ type kind =
   | Kfunc of int     (** defined function, arity *)
   | Kbuiltin of int  (** builtin, arity *)
 
-val builtin_arities : (string * int) list
-
 (** Module-level name environment (shared with lowering). *)
 type env
 

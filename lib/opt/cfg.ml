@@ -55,11 +55,3 @@ let reverse_postorder (r : U.routine) : U.label list =
   in
   visit (U.entry_block r).U.b_id;
   !order
-
-(** Replace the blocks of a routine, keeping the entry block first.
-    Raises if the entry block is missing from [blocks]. *)
-let with_blocks (r : U.routine) (blocks : U.block list) : U.routine =
-  let entry_id = (U.entry_block r).U.b_id in
-  match List.partition (fun (b : U.block) -> b.U.b_id = entry_id) blocks with
-  | [ entry ], rest -> { r with U.r_blocks = entry :: rest }
-  | _ -> invalid_arg "Cfg.with_blocks: entry block missing or duplicated"

@@ -14,8 +14,3 @@ val reachable : Ucode.Types.routine -> Ucode.Types.Int_set.t
 
 (** Blocks in reverse postorder from the entry. *)
 val reverse_postorder : Ucode.Types.routine -> Ucode.Types.label list
-
-(** Replace a routine's blocks, keeping the entry first.  Raises if the
-    entry block is missing or duplicated. *)
-val with_blocks :
-  Ucode.Types.routine -> Ucode.Types.block list -> Ucode.Types.routine

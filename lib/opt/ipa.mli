@@ -6,8 +6,5 @@
     (acyclic CFG, no recursion).  This is what lets HLO erase the
     stubbed curses calls of 072.sc before inlining starts (§3.1). *)
 
-(** Does the routine's CFG contain a cycle? *)
-val has_loop : Ucode.Types.routine -> bool
-
 (** Names of routines whose calls can be erased when unused. *)
 val deletable_routines : Ucode.Types.program -> Ucode.Types.String_set.t

@@ -12,10 +12,6 @@ val live_in : t -> Ucode.Types.label -> Ucode.Types.Int_set.t
 (** Registers live at block exit. *)
 val live_out : t -> Ucode.Types.label -> Ucode.Types.Int_set.t
 
-(** [use]/[def] sets of one block (use = used before any def). *)
-val block_use_def :
-  Ucode.Types.block -> Ucode.Types.Int_set.t * Ucode.Types.Int_set.t
-
 (** For each instruction of the block, the registers live *after* it,
     in instruction order. *)
 val per_instr_live_out : t -> Ucode.Types.block -> Ucode.Types.Int_set.t list

@@ -12,28 +12,12 @@
 
 module U = Ucode.Types
 
-type stats = {
-  mutable rounds : int;
-  passes_changed : (string, int) Hashtbl.t;
-}
-
-let make_stats () = { rounds = 0; passes_changed = Hashtbl.create 16 }
-
-let changed_counts stats =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) stats.passes_changed []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let note stats name =
-  Hashtbl.replace stats.passes_changed name
-    (1 + Option.value ~default:0 (Hashtbl.find_opt stats.passes_changed name))
+let max_rounds = 4
 
 (** Optimize one routine.  [removable] enables deletion of unused calls
     proven harmless by {!Ipa}; [arity_of] enables devirtualization of
     indirect calls whose target and arity are provably known. *)
-let optimize_routine ?(removable = fun _ -> false)
-    ?(arity_of = fun (_ : string) -> (None : int option)) ?(max_rounds = 4)
-    ?stats (r : U.routine) : U.routine =
-  let stats = match stats with Some s -> s | None -> make_stats () in
+let optimize_routine ~removable ~arity_of (r : U.routine) : U.routine =
   (* Convergence: a quiet round (no pass flagged a change) stops with no
      structural comparison at all.  A noisy round still compares input
      to output, because two passes can oscillate — one rewrites, a later
@@ -42,29 +26,25 @@ let optimize_routine ?(removable = fun _ -> false)
      round.  Net: at most one compare per *changed* round, none on the
      final quiet round. *)
   let any = ref false in
-  let run_pass name f r =
+  let run_pass f r =
     let r', changed = f r in
-    if changed then begin
-      any := true;
-      note stats name
-    end;
+    if changed then any := true;
     r'
   in
   let round r =
     r
-    |> run_pass "simplify" Simplify.run
-    |> run_pass "constprop" (Constprop.run ~arity_of)
-    |> run_pass "copyprop" Copyprop.run
-    |> run_pass "licm" Licm.run
-    |> run_pass "strength" Strength.run
-    |> run_pass "cse" Cse.run
-    |> run_pass "dce" (Dce.run ~removable)
-    |> run_pass "simplify" Simplify.run
+    |> run_pass Simplify.run
+    |> run_pass (Constprop.run ~arity_of)
+    |> run_pass Copyprop.run
+    |> run_pass Licm.run
+    |> run_pass Strength.run
+    |> run_pass Cse.run
+    |> run_pass (Dce.run ~removable)
+    |> run_pass Simplify.run
   in
   let rec loop r n =
     if n = 0 then r
     else begin
-      stats.rounds <- stats.rounds + 1;
       any := false;
       let r' = round r in
       if !any && r' <> r then loop r' (n - 1) else r'
@@ -75,7 +55,7 @@ let optimize_routine ?(removable = fun _ -> false)
 (** Optimize every routine of a program.  Computes the deletable-call
     set once (the "limited interprocedural analysis" of the paper) and
     feeds it to per-routine DCE. *)
-let optimize_program ?(max_rounds = 4) (p : U.program) : U.program =
+let optimize_program (p : U.program) : U.program =
   Telemetry.Collector.with_span "opt.program" @@ fun () ->
   if Telemetry.Collector.enabled () then begin
     let n = List.length p.U.p_routines in
@@ -93,12 +73,12 @@ let optimize_program ?(max_rounds = 4) (p : U.program) : U.program =
           if Telemetry.Collector.enabled () then
             Telemetry.Collector.annotate "name"
               (Telemetry.Event.Str r.U.r_name);
-          optimize_routine ~removable ~arity_of ~max_rounds r)
+          optimize_routine ~removable ~arity_of r)
         p.U.p_routines }
 
 (** Optimize only the named routines (used by HLO after a pass touched
     a subset of the program).  Untouched routines are passed through. *)
-let optimize_selected ?(max_rounds = 4) (p : U.program) names : U.program =
+let optimize_selected (p : U.program) names : U.program =
   Telemetry.Collector.with_span "opt.selected" @@ fun () ->
   if Telemetry.Collector.enabled () then begin
     let n = List.length names in
@@ -118,7 +98,7 @@ let optimize_selected ?(max_rounds = 4) (p : U.program) names : U.program =
             if Telemetry.Collector.enabled () then
               Telemetry.Collector.annotate "name"
                 (Telemetry.Event.Str r.U.r_name);
-            optimize_routine ~removable ~arity_of ~max_rounds r
+            optimize_routine ~removable ~arity_of r
           end
           else r)
         p.U.p_routines }

@@ -4,35 +4,11 @@
     One round is: CFG simplify, constant propagation (with
     devirtualization), copy propagation, loop-invariant code motion,
     strength reduction, local CSE, DCE, simplify again; rounds repeat
-    to quiescence (bounded). *)
-
-type stats = {
-  mutable rounds : int;
-  passes_changed : (string, int) Hashtbl.t;
-      (** pass name -> number of rounds in which it changed the routine *)
-}
-
-val make_stats : unit -> stats
-
-(** [changed_counts s] as a sorted association list (for reports). *)
-val changed_counts : stats -> (string * int) list
-
-(** Optimize one routine.  [removable name] permits deleting unused
-    calls to [name] (see {!Ipa}); [arity_of] enables devirtualization
-    of indirect calls whose target and arity are provably known. *)
-val optimize_routine :
-  ?removable:(string -> bool) ->
-  ?arity_of:(string -> int option) ->
-  ?max_rounds:int ->
-  ?stats:stats ->
-  Ucode.Types.routine ->
-  Ucode.Types.routine
+    to quiescence (at most four rounds). *)
 
 (** Optimize every routine; computes the {!Ipa} deletable set and the
     arity environment from the program itself. *)
-val optimize_program :
-  ?max_rounds:int -> Ucode.Types.program -> Ucode.Types.program
+val optimize_program : Ucode.Types.program -> Ucode.Types.program
 
 (** Optimize only the named routines (used by HLO between passes). *)
-val optimize_selected :
-  ?max_rounds:int -> Ucode.Types.program -> string list -> Ucode.Types.program
+val optimize_selected : Ucode.Types.program -> string list -> Ucode.Types.program

@@ -3,7 +3,4 @@
     retires shifts in one cycle but charges multiplier latency, so the
     rewrite is directly observable in cycles. *)
 
-(** [log2_of_power k] is [Some n] when [k = 2^n], [n >= 0]. *)
-val log2_of_power : int64 -> int option
-
 val run : Ucode.Types.routine -> Ucode.Types.routine * bool

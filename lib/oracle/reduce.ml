@@ -115,8 +115,7 @@ let sources_of mods =
       Minic.Compile.source ~module_name:name (String.concat "\n" stmts))
     mods
 
-let reduce ?(interp_config = Interp.default_config) ?(same_bucket = true)
-    (orig : Fuzz.failure) : t =
+let reduce ?(interp_config = Interp.default_config) (orig : Fuzz.failure) : t =
   let tests = ref 0 in
   (* [best] always describes the most recently *accepted* candidate:
      every adoption below goes through a successful [still_fails]. *)
@@ -128,9 +127,7 @@ let reduce ?(interp_config = Interp.default_config) ?(same_bucket = true)
   let still_fails sources check =
     incr tests;
     match Fuzz.run_case ~interp_config (case_of sources check) with
-    | Fuzz.Failed f
-      when (not same_bucket)
-           || String.equal f.Fuzz.f_bucket orig.Fuzz.f_bucket ->
+    | Fuzz.Failed f when String.equal f.Fuzz.f_bucket orig.Fuzz.f_bucket ->
       best := f;
       true
     | _ -> false

@@ -4,8 +4,8 @@
     minimal repro: statement-level ddmin over each module's source,
     dropping of emptied modules, then config / mutation
     simplification — all while re-checking that the candidate still
-    fails (by default, into the *same bucket*, so reduction cannot
-    wander off to a different bug). *)
+    fails into the *same bucket*, so reduction cannot wander off to a
+    different bug. *)
 
 (** Zeller–Hildebrandt ddmin over a list: returns a subset that still
     satisfies [test], 1-minimal with respect to chunk removal.  If the
@@ -17,20 +17,13 @@ val ddmin : test:('a list -> bool) -> 'a list -> 'a list
     never inside parentheses, so a [for] header stays atomic. *)
 val split_statements : string -> string list
 
-(** Total line count of the sources, as {!split_statements} counts
-    them — the measure the "< 30 lines" acceptance bar is checked
-    against. *)
-val source_lines : Minic.Compile.source list -> int
-
 type t = {
   r_case : Fuzz.case;        (** the reduced, still-failing case *)
-  r_failure : Fuzz.failure;  (** its failure (same bucket by default) *)
-  r_lines : int;             (** {!source_lines} of the reduced case *)
+  r_failure : Fuzz.failure;  (** its failure (same bucket) *)
+  r_lines : int;  (** lines of the reduced case, as {!split_statements} counts *)
   r_tests : int;             (** oracle evaluations spent reducing *)
 }
 
-(** [reduce failure] shrinks [failure.f_case].  [same_bucket] (default
-    true) restricts candidates to ones reproducing the original
-    bucket. *)
-val reduce :
-  ?interp_config:Interp.config -> ?same_bucket:bool -> Fuzz.failure -> t
+(** [reduce failure] shrinks [failure.f_case], keeping only candidates
+    that reproduce the original bucket. *)
+val reduce : ?interp_config:Interp.config -> Fuzz.failure -> t

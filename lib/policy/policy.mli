@@ -25,7 +25,6 @@
 type stage = Clean | Outline | Clone | Inline | Prune
 
 val stage_name : stage -> string
-val stage_of_name : string -> (stage, string) result
 
 (** How the inliner treats a callee whose whole body busts the budget:
     - [Whole]: the paper's behaviour — reject the site (the callee is
@@ -73,11 +72,9 @@ val check_staging : float list -> (unit, string) result
 
 (** Full structural validation: staging as {!check_staging}, all
     numeric knobs finite and inside their documented ranges, stage
-    list nonempty, at most {!max_stages} long, and containing at least
+    list nonempty, at most 8 long, and containing at least
     one transforming stage ([Clone] or [Inline]). *)
 val validate : t -> (unit, string) result
-
-val max_stages : int
 
 (** {2 Canonical text codec}
 

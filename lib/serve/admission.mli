@@ -25,13 +25,11 @@ val create :
 
 (** Cost estimate for a compile request: per module,
     [Ucode.Size.cost_of_size] of the instruction count a MiniC source
-    of that byte length typically lowers to (~{!bytes_per_instr} bytes
+    of that byte length typically lowers to (~16 bytes
     per instruction).  An estimate on purpose — admission happens
     before any parsing — but quadratic like the real cost, so the
     skew between many small modules and one huge module survives. *)
 val cost_of_modules : (string * string) list -> float
-
-val bytes_per_instr : int
 
 type ticket = {
   tk_cost : float;

@@ -19,14 +19,12 @@ type config = {
   queue_limit : int;
   artifact_dir : string option;
   artifact_cap : int option;
-  summary_cache : string option;
   max_frame : int;
 }
 
 let default_config =
   { jobs = 1; server_budget = 4.0e9; request_budget = 1.0e9;
     queue_limit = 256; artifact_dir = None; artifact_cap = None;
-    summary_cache = None;
     max_frame = P.default_max_frame }
 
 (* What a finished leader leaves for coalesced waiters: the output
@@ -51,9 +49,6 @@ type t = {
 }
 
 let create cfg =
-  (match cfg.summary_cache with
-  | None -> ()
-  | Some path -> ignore (Hlo.Summary_cache.load path : (int, string) result));
   { cfg;
     artifacts = Artifacts.create ?dir:cfg.artifact_dir ?cap:cfg.artifact_cap ();
     admission =
@@ -138,8 +133,6 @@ let compile_serialized t modules config (o : P.compile_options) =
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let stopping t = locked t (fun () -> t.stopping)
 
 let enter t =
   locked t @@ fun () ->
@@ -302,8 +295,7 @@ let stats_json t : J.t =
         J.Assoc
           [ ("hits", J.Int sc.Hlo.Summary_cache.hits);
             ("misses", J.Int sc.Hlo.Summary_cache.misses);
-            ("entries", J.Int sc.Hlo.Summary_cache.entries);
-            ("loaded", J.Int sc.Hlo.Summary_cache.loaded) ] );
+            ("entries", J.Int sc.Hlo.Summary_cache.entries) ] );
       ( "clone_db",
         J.Assoc
           [ ("hits", J.Int cdb.Hlo.Clone_db.hits);
@@ -345,7 +337,4 @@ let drain t =
   locked t (fun () ->
       while t.active > 0 do
         Condition.wait t.drained t.lock
-      done);
-  match t.cfg.summary_cache with
-  | None -> ()
-  | Some path -> ignore (Hlo.Summary_cache.save path : (unit, string) result)
+      done)

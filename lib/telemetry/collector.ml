@@ -128,9 +128,6 @@ let count name v =
   | None -> ()
   | Some t -> count_in t name (float_of_int v)
 
-let countf name v =
-  match !ambient with None -> () | Some t -> count_in t name v
-
 let gauge name v =
   match !ambient with None -> () | Some t -> gauge_in t name v
 

@@ -65,8 +65,6 @@ val annotate : string -> Event.value -> unit
 (** Bump a counter by an integer amount. *)
 val count : string -> int -> unit
 
-val countf : string -> float -> unit
-
 (** Set a gauge. *)
 val gauge : string -> float -> unit
 
@@ -86,14 +84,3 @@ val decision :
 val with_span_in : t -> ?attrs:Event.attrs -> string -> (unit -> 'a) -> 'a
 val count_in : t -> string -> float -> unit
 val gauge_in : t -> string -> float -> unit
-
-val decision_in :
-  t ->
-  kind:Event.decision_kind ->
-  verdict:Event.verdict ->
-  ?context:string ->
-  ?site:int ->
-  ?score:float ->
-  ?pass:int ->
-  string ->
-  unit

@@ -174,8 +174,6 @@ let classify_edge_with ids t (e : edge) : site_class =
         if caller.r_module = callee.r_module then Within_module
         else Cross_module)
 
-let classify_edge t e = classify_edge_with (scc_ids t) t e
-
 (** Histogram of site classes over the whole program. *)
 let classify t : (site_class * int) list =
   let ids = scc_ids t in

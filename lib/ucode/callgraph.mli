@@ -45,9 +45,6 @@ val sccs : t -> string list list
 (** Routine names ordered callees-first (concatenated {!sccs}). *)
 val bottom_up_order : t -> string list
 
-(** Map from routine name to its SCC's id. *)
-val scc_ids : t -> int Types.String_map.t
-
 (** The Figure 5 categories. *)
 type site_class =
   | External      (** callee not visible: builtins / library routines *)
@@ -58,7 +55,6 @@ type site_class =
 
 val site_class_name : site_class -> string
 val all_site_classes : site_class list
-val classify_edge : t -> edge -> site_class
 
 (** Histogram over all sites, in {!all_site_classes} order. *)
 val classify : t -> (site_class * int) list

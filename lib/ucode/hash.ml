@@ -1,24 +1,22 @@
 (** Content hashing of routine bodies.
 
-    The summary cache (lib/hlo/summary_cache.ml) memoizes per-routine
-    analyses — size, loop structure — under a key that identifies the
+    The isom layer and the clone database ([Hlo.Clone_db]) identify a
     routine by *what it computes*, not what it is called.  Two bodies
     that differ only in their name, home module, origin or call-site
-    ids hash identically, so a clone shares its original's cache entry
-    and a routine keeps its entry across `hloc` runs even though site
-    ids are assigned in program order.
+    ids hash identically, so a body keeps its hash across `hloc` runs
+    even though site ids are assigned in program order.
 
     Call-site ids are deliberately excluded: they are program-unique
     serial numbers, so including them would make every copy of a body
-    — every clone, every relink — a cache miss. *)
+    — every clone, every relink — hash differently. *)
 
 open Types
 
 type t = string
 (** Hex digest. *)
 
-(* The digest is persisted — isom [i_body_hashes], summary-cache files
-   and [Hlo.Clone_db] keys — so the bytes fed to MD5 are a file format
+(* The digest is persisted — isom [i_body_hashes] — and keys
+   [Hlo.Clone_db], so the bytes fed to MD5 are a file format
    and must not change.  Every field is a little-endian int64, -1 where
    a column is unused:
 

@@ -1,4 +1,4 @@
-(** Content hashing of routine bodies for the summary cache.
+(** Content hashing of routine bodies.
 
     The hash covers what a routine computes — params, attributes,
     blocks, instructions, terminators — and excludes its identity:
@@ -6,8 +6,8 @@
     hash like their originals, and hashes are stable across `hloc`
     runs even though site ids are assigned in program order.  Computed
     in one walk over the block list.  The digest is persisted (isom
-    files, summary-cache files, clone-database keys), so its input
-    bytes are a file format: see the layout in hash.ml. *)
+    files) and keys the clone database, so its input bytes are a file
+    format: see the layout in hash.ml. *)
 
 type t = string
 (** An MD5 hex digest (32 lowercase hex characters). *)

@@ -35,6 +35,3 @@ val link : ?main:string -> module_ir list -> Types.program
 
 (** [link] plus the renaming maps it applied. *)
 val link_with_maps : ?main:string -> module_ir list -> Types.program * maps
-
-(** [mangle m n] is the final name of module [m]'s static [n]. *)
-val mangle : string -> string -> string

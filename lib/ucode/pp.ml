@@ -84,5 +84,4 @@ let pp_program ppf p =
     Fmt.(list ~sep:(cut ++ cut) pp_routine)
     p.p_routines
 
-let routine_to_string r = Fmt.str "%a" pp_routine r
 let program_to_string p = Fmt.str "%a" pp_program p

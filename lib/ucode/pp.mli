@@ -1,17 +1,7 @@
 (** Pretty-printing of the IR for diagnostics, tests and [--dump-ir]. *)
 
 val binop_name : Types.binop -> string
-val unop_name : Types.unop -> string
-val pp_reg : Format.formatter -> Types.reg -> unit
-val pp_label : Format.formatter -> Types.label -> unit
-val pp_callee : Format.formatter -> Types.callee -> unit
-val pp_call : Format.formatter -> Types.call -> unit
 val pp_instr : Format.formatter -> Types.instr -> unit
 val pp_term : Format.formatter -> Types.terminator -> unit
-val pp_block : Format.formatter -> Types.block -> unit
-val pp_attrs : Format.formatter -> Types.attrs -> unit
-val pp_routine : Format.formatter -> Types.routine -> unit
-val pp_global : Format.formatter -> Types.global -> unit
 val pp_program : Format.formatter -> Types.program -> unit
-val routine_to_string : Types.routine -> string
 val program_to_string : Types.program -> string

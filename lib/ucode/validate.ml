@@ -125,11 +125,5 @@ let check_program (p : program) : error list =
     p.p_routines;
   List.rev !problems
 
-exception Invalid of error list
-
-(** Raise {!Invalid} if the program is malformed. *)
-let check_program_exn p =
-  match check_program p with [] -> () | errors -> raise (Invalid errors)
-
 let errors_to_string errors =
   String.concat "\n" (List.map (fun e -> Fmt.str "%a" pp_error e) errors)

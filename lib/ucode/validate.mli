@@ -18,9 +18,4 @@ val check_routine : Types.routine -> error list
     sane global sizes and initializers. *)
 val check_program : Types.program -> error list
 
-exception Invalid of error list
-
-(** Raise {!Invalid} if the program is malformed. *)
-val check_program_exn : Types.program -> unit
-
 val errors_to_string : error list -> string

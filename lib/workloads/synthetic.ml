@@ -7,7 +7,7 @@
     significant speedups like we see in some of the SPEC benchmarks can
     also be obtained in large production codes."
 
-    [generate ~modules ~funcs_per_module ~seed] builds a deterministic
+    [generate ~modules ~seed] builds a deterministic
     multi-module MiniC program with a layered call structure (functions
     call only strictly earlier functions, so the call graph is acyclic
     and every run terminates): a mix of exported and [static] routines,
@@ -69,7 +69,9 @@ let gen_function rng ~module_index ~func_index ~callables =
      carries that visibility. *)
   (text, (name, 2, static))
 
-let gen_module rng ~module_index ~funcs_per_module ~imported =
+let funcs_per_module = 6
+
+let gen_module rng ~module_index ~imported =
   let header = Printf.sprintf "global data_%d[64];" module_index in
   let texts = ref [ header ] in
   let local = ref [] in
@@ -91,7 +93,7 @@ let gen_module rng ~module_index ~funcs_per_module ~imported =
   (String.concat "\n\n" (List.rev !texts), exported)
 
 (** Generate the whole program's sources. *)
-let generate ?(funcs_per_module = 6) ?(seed = 1) ~modules () :
+let generate ?(seed = 1) ~modules () :
     Minic.Compile.source list =
   if modules < 1 then invalid_arg "Synthetic.generate: modules < 1";
   let rng = make_rng seed in
@@ -99,7 +101,7 @@ let generate ?(funcs_per_module = 6) ?(seed = 1) ~modules () :
   let imported = ref [] in
   for j = 0 to modules - 1 do
     let text, exported =
-      gen_module rng ~module_index:j ~funcs_per_module ~imported:!imported
+      gen_module rng ~module_index:j ~imported:!imported
     in
     module_sources := (Printf.sprintf "mod%d" j, text) :: !module_sources;
     imported := !imported @ exported
@@ -121,5 +123,5 @@ let generate ?(funcs_per_module = 6) ?(seed = 1) ~modules () :
     ((Printf.sprintf "mainmod", main_text) :: !module_sources)
 
 (** Generate and link. *)
-let compile ?funcs_per_module ?seed ~modules () : Ucode.Types.program =
-  fst (Minic.Compile.compile_program (generate ?funcs_per_module ?seed ~modules ()))
+let compile ?seed ~modules () : Ucode.Types.program =
+  fst (Minic.Compile.compile_program (generate ?seed ~modules ()))

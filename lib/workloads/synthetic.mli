@@ -5,13 +5,7 @@
     Same seed, same program — runs are reproducible. *)
 
 (** Generate the program's sources. *)
-val generate :
-  ?funcs_per_module:int ->
-  ?seed:int ->
-  modules:int ->
-  unit ->
-  Minic.Compile.source list
+val generate : ?seed:int -> modules:int -> unit -> Minic.Compile.source list
 
 (** Generate, compile and link. *)
-val compile :
-  ?funcs_per_module:int -> ?seed:int -> modules:int -> unit -> Ucode.Types.program
+val compile : ?seed:int -> modules:int -> unit -> Ucode.Types.program

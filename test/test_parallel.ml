@@ -197,19 +197,8 @@ let prop_warm_cache_equals_cold =
       let profile = profile_for ~config sources in
       Hlo.Summary_cache.clear ();
       let cold = run_once ~config ~profile sources in
-      let stats_cold = Hlo.Summary_cache.stats () in
       let warm = run_once ~config ~profile sources in
-      let stats_warm = Hlo.Summary_cache.stats () in
       check_identical ~what:"warm vs cold" cold warm;
-      (* The warm run must actually have been served by the cache: no
-         new entries appeared (same program ⇒ same body hashes). *)
-      if stats_warm.Hlo.Summary_cache.entries
-         <> stats_cold.Hlo.Summary_cache.entries
-      then
-        QCheck.Test.fail_report
-          (Printf.sprintf "warm run added entries: %d -> %d"
-             stats_cold.Hlo.Summary_cache.entries
-             stats_warm.Hlo.Summary_cache.entries);
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -251,7 +240,7 @@ let workload_case (b : Workloads.Suite.benchmark) =
         (List.filter (fun j -> j > 1) jobs_levels) )
 
 (* ------------------------------------------------------------------ *)
-(* Summary cache: hashing and the on-disk store.                       *)
+(* Summary cache: body hashing and the per-version memo.              *)
 
 let small_program () =
   Minic.Compile.compile_string
@@ -297,38 +286,6 @@ let test_hash_ignores_identity () =
   let r' = { r with U.r_blocks = List.map bump_const r.U.r_blocks } in
   if Ucode.Hash.routine_body_hash r' = h then
     Alcotest.fail "changing a constant must change the hash"
-
-let test_cache_roundtrip () =
-  Hlo.Summary_cache.clear ();
-  let p = small_program () in
-  let before =
-    List.map (fun r -> Hlo.Summary_cache.find r) p.U.p_routines
-  in
-  let entries = (Hlo.Summary_cache.stats ()).Hlo.Summary_cache.entries in
-  let path = Filename.temp_file "summary_cache" ".txt" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  (match Hlo.Summary_cache.save path with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg);
-  Hlo.Summary_cache.clear ();
-  (match Hlo.Summary_cache.load path with
-  | Ok n -> Alcotest.(check int) "all entries loaded" entries n
-  | Error msg -> Alcotest.fail msg);
-  let after = List.map (fun r -> Hlo.Summary_cache.find r) p.U.p_routines in
-  List.iter2
-    (fun (b : Hlo.Summary_cache.entry) (a : Hlo.Summary_cache.entry) ->
-      Alcotest.(check int) "size survives the round-trip"
-        b.Hlo.Summary_cache.e_size a.Hlo.Summary_cache.e_size;
-      Alcotest.(check (list int)) "cycles survive the round-trip"
-        (U.Int_set.elements b.Hlo.Summary_cache.e_cycles)
-        (U.Int_set.elements a.Hlo.Summary_cache.e_cycles))
-    before after;
-  let s = Hlo.Summary_cache.stats () in
-  (* The post-load lookups must have been hits, not recomputations. *)
-  Alcotest.(check int) "post-load lookups hit" (List.length p.U.p_routines)
-    s.Hlo.Summary_cache.hits;
-  Alcotest.(check int) "no recomputation after load" 0
-    s.Hlo.Summary_cache.misses
 
 (* A block is on a CFG cycle iff it is reachable from one of its own
    successors: a plain search per block, independent of the Tarjan the
@@ -381,16 +338,6 @@ let test_cache_agrees_with_direct_computation () =
     ((self_loop_routine :: (small_program ()).U.p_routines)
     @ List.concat_map suite_routines Workloads.Suite.all)
 
-let test_cache_rejects_garbage () =
-  let path = Filename.temp_file "summary_cache" ".txt" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let oc = open_out path in
-  output_string oc "not a cache file\n";
-  close_out oc;
-  match Hlo.Summary_cache.load path with
-  | Ok _ -> Alcotest.fail "expected a header error"
-  | Error _ -> ()
-
 (* The per-version memo must not outlive [clear]: the same routine
    records miss again and their bodies re-enter the table. *)
 let test_clear_forgets_versions () =
@@ -433,10 +380,7 @@ let () =
       ( "summary_cache",
         [ Alcotest.test_case "hash ignores identity" `Quick
             test_hash_ignores_identity;
-          Alcotest.test_case "disk round-trip" `Quick test_cache_roundtrip;
           Alcotest.test_case "agrees with direct computation" `Quick
             test_cache_agrees_with_direct_computation;
-          Alcotest.test_case "rejects garbage files" `Quick
-            test_cache_rejects_garbage;
           Alcotest.test_case "clear forgets routine versions" `Quick
             test_clear_forgets_versions ] ) ]

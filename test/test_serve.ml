@@ -418,7 +418,7 @@ module S = Serve.Service
 let service_config ?artifact_dir ?(max_frame = P.default_max_frame) () =
   { S.default_config with
     server_budget = 1.0e9; request_budget = 1.0e9; queue_limit = 16;
-    artifact_dir; artifact_cap = None; summary_cache = None; max_frame }
+    artifact_dir; artifact_cap = None; max_frame }
 
 let compile_req ?(modules = sample_modules) options =
   P.Compile { modules; options }
@@ -923,6 +923,41 @@ let test_summary_cache_concurrent () =
   check_bool "entries bounded by distinct bodies" true
     (st.Hlo.Summary_cache.entries <= Array.length routines)
 
+(* Compile three distinct programs through one service.  Nothing the
+   caller keeps refers to a program afterwards: only rendered text
+   leaves [handle]. *)
+let compile_three_programs () =
+  let svc = S.create (service_config ()) in
+  List.iter
+    (fun bound ->
+      let main =
+        Printf.sprintf
+          "func main() {\n\
+          \  var s = 0;\n\
+          \  for (var i = 0; i < %d; i = i + 1) { s = s + square(i); }\n\
+          \  print_int(s);\n\
+          \  return 0;\n\
+           }\n"
+          bound
+      in
+      ignore
+        (expect_compiled
+           (S.handle svc
+              (compile_req ~modules:[ ("main", main); ("util", util_src) ]
+                 full_options))))
+    [ 10; 20; 30 ]
+
+(* A long-lived daemon must not accumulate summaries: entries are
+   keyed by routine version and die with it. *)
+let test_daemon_keeps_no_summaries () =
+  Hlo.Summary_cache.clear ();
+  compile_three_programs ();
+  check_bool "the compiles computed summaries" true
+    ((Hlo.Summary_cache.stats ()).Hlo.Summary_cache.misses > 0);
+  Gc.full_major ();
+  check_int "no summaries outlive their compiles" 0
+    (Hlo.Summary_cache.stats ()).Hlo.Summary_cache.entries
+
 let find_routine program name =
   match U.find_routine program name with
   | Some r -> r
@@ -1059,6 +1094,8 @@ let () =
       ("caches",
        [ Alcotest.test_case "summary cache across domains" `Quick
            test_summary_cache_concurrent;
+         Alcotest.test_case "the daemon keeps no routine summaries" `Quick
+           test_daemon_keeps_no_summaries;
          Alcotest.test_case "clone db = direct materialization" `Quick
            test_clone_db_matches_direct;
          Alcotest.test_case "clone db across domains" `Quick

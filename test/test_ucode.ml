@@ -178,8 +178,8 @@ let test_copy_routine_origin () =
 (* ------------------------------------------------------------------ *)
 (* Body digest layout.                                                 *)
 
-(* [Hash.routine_body_hash] is persisted (isom body hashes, summary-cache
-   files, clone-database keys), so these hex values pin its byte layout:
+(* [Hash.routine_body_hash] is persisted (isom body hashes) and keys the
+   clone database, so these hex values pin its byte layout:
    a change here invalidates every file written before it. *)
 
 (* Every instruction, operator and terminator kind, and every attribute
